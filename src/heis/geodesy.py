@@ -18,9 +18,13 @@ Inversion at s=1 reduces, for zeta != 0, to the scalar monotone equation
 
     t / |zeta|^2 = m(theta) := (theta - sin theta) / (2 sin^2(theta/2))
 
-solved on (-2pi, 2pi) by bisection plus Newton polish.  Points on the
-center (zeta = 0, t != 0) sit on the non-unique theta = +-2pi family with
-|chi| = sqrt(pi |t|).
+on (-2pi, 2pi).  Each root starts from a tabulated inverse of m and takes
+three Newton steps: on theta below theta = pi, and on eps = 2pi - theta
+above it, where theta cannot hold eps to full precision; there |chi| and
+the phase of chi come from eps as well.  The relative residual of m at
+the root is at most 1e-12 for every u = t/|zeta|^2 off the center branch,
+i.e. |u| <= CENTER_TOL^-2.  Points on the center (zeta = 0, t != 0) sit
+on the non-unique theta = +-2pi family with |chi| = sqrt(pi |t|).
 
 The CC distance is d(x, y) = |chi| of Gamma_1^{-1}(x^{-1} * y); the angle
 theta(x, y) is the corresponding |theta|.
@@ -28,6 +32,7 @@ theta(x, y) is the corresponding |theta|.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,8 +62,6 @@ TWO_PI = 2.0 * np.pi
 # the generic inversion is ill-conditioned but the branch formula is exact.
 CENTER_TOL = 1e-10
 
-_BISECT_ITERS = 22
-_NEWTON_ITERS = 6
 _CHUNK = 1 << 18
 
 _max_workers = 1
@@ -115,56 +118,147 @@ class InversionResult:
 # scalar auxiliary map m and the vectorized root solve
 # ---------------------------------------------------------------------------
 
+# Taylor coefficients, highest power first, of
+#   (theta - sin theta) / theta^3 = sum_k (-1)^k w^k / (2k+3)!   and
+#   (1 - cos theta) / theta^2     = sum_k (-1)^k w^k / (2k+2)!,   w = theta^2;
+# seven terms leave a relative truncation error below 1e-17 for theta <= 0.5.
+_SIN_SERIES = np.array([(-1) ** k / math.factorial(2 * k + 3) for k in range(7)][::-1])
+_COS_SERIES = np.array([(-1) ** k / math.factorial(2 * k + 2) for k in range(7)][::-1])
+_SERIES_THETA = 0.5
+_NEWTON_STEPS = 3
+
+
+def _m_series(theta):
+    """m and m' for 0 <= theta <= _SERIES_THETA (a little beyond is fine),
+    as polynomials in theta^2: no cancellation, no underflow near 0."""
+    w = theta * theta
+    sn = np.polyval(_SIN_SERIES, w)
+    cs = np.polyval(_COS_SERIES, w)
+    return theta * sn / cs, 1.0 - sn * (1.0 - w * sn) / (cs * cs)
+
+
+def _m_direct(theta):
+    """m and m' for 0 < theta <= pi, from sin(theta/2) and sin(theta)."""
+    s = np.sin(0.5 * theta)
+    d = 2.0 * s * s
+    sn = np.sin(theta)
+    m = (theta - sn) / d
+    return m, 1.0 - m * sn / d
+
+
 def _m(theta):
     """m(theta) = (theta - sin theta) / (2 sin^2(theta/2)), odd, increasing
-    on (-2pi, 2pi); series near 0 avoids 0/0."""
+    on (-2pi, 2pi); a Taylor series below |theta| = 0.5 avoids the
+    cancellation in theta - sin theta."""
     theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-3
-    ts = np.where(small, theta, 0.0)
-    series = ts / 3.0 * (1.0 + ts * ts / 30.0 + ts ** 4 / 840.0)
-    tb = np.where(small, 1.0, theta)
-    s2 = np.sin(tb / 2.0)
-    direct = (tb - np.sin(tb)) / (2.0 * s2 * s2)
-    return np.where(small, series, direct)
+    a = np.abs(theta)
+    small = a < _SERIES_THETA
+    m = np.where(small, _m_series(np.where(small, a, 0.0))[0],
+                 _m_direct(np.where(small, 1.0, a))[0])
+    return np.copysign(m, theta)
 
 
-def _m_and_dm(theta):
-    """m and m' sharing trig evaluations (for Newton)."""
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-3
-    ts = np.where(small, theta, 0.0)
-    m_ser = ts / 3.0 * (1.0 + ts * ts / 30.0 + ts ** 4 / 840.0)
-    dm_ser = 1.0 / 3.0 + ts * ts / 30.0
-    tb = np.where(small, 1.0, theta)
-    s2 = np.sin(tb / 2.0)
-    c2 = np.cos(tb / 2.0)
-    num = tb - np.sin(tb)
-    m_dir = num / (2.0 * s2 * s2)
-    dm_dir = 1.0 - num * c2 / (2.0 * s2 ** 3)
-    return np.where(small, m_ser, m_dir), np.where(small, dm_ser, dm_dir)
+def _m_eps_terms(eps):
+    """m(2pi - eps) = num / d from eps: num = 2pi - eps + sin eps and
+    d = 2 sin^2(eps/2); returns (num, d, sin eps)."""
+    s = np.sin(0.5 * eps)
+    sn = np.sin(eps)
+    return TWO_PI - eps + sn, 2.0 * s * s, sn
+
+
+# Start tables.  Below theta = pi (u <= pi/2) theta is tabulated on a
+# uniform grid of u; above, log eps with eps = 2pi - theta on a uniform grid
+# of log u, out to _U_ASYMPTOTE, past which eps ~ sqrt(4 pi / u) is good to
+# a relative eps^2 / 24 < 1e-8.  A uniform grid gives the interval by
+# arithmetic, not by a search.
+_TABLE_STEPS = 2048
+_U_STEP = (np.pi / 2.0) / _TABLE_STEPS
+_LOG_U0 = np.log(np.pi / 2.0)
+_U_ASYMPTOTE = 1e8
+_LOG_U_STEP = (np.log(_U_ASYMPTOTE) - _LOG_U0) / _TABLE_STEPS
+
+
+def _start_tables():
+    """(values, steps) of both start tables, resampled from forward tables
+    of m twice as fine."""
+    def resample(x_fine, y_fine, x0, step):
+        y = np.interp(x0 + step * np.arange(_TABLE_STEPS + 1), x_fine, y_fine)
+        return y, np.append(np.diff(y), 0.0)
+
+    th = np.linspace(0.0, np.pi, 2 * _TABLE_STEPS + 1)
+    # eps from pi down past sqrt(4 pi / _U_ASYMPTOTE), so that u covers the table
+    log_eps = np.linspace(np.log(np.pi), 0.5 * np.log(4.0 * np.pi / _U_ASYMPTOTE) - 1.0,
+                          2 * _TABLE_STEPS + 1)
+    num, d, _ = _m_eps_terms(np.exp(log_eps))
+    return (resample(_m(th), th, 0.0, _U_STEP),
+            resample(np.log(num / d), log_eps, _LOG_U0, _LOG_U_STEP))
+
+
+_THETA_START, _LOG_EPS_START = _start_tables()
+_U_SERIES = float(_m(_SERIES_THETA))
+
+
+def _interp_start(x, table):
+    """Linear interpolation in a start table at fractional grid index x >= 0
+    (constant past the last node)."""
+    y, dy = table
+    i = np.minimum(x.astype(np.intp), _TABLE_STEPS)
+    return y[i] + (x - i) * dy[i]
+
+
+def _solve_below_pi(u, m_and_dm):
+    """theta in (0, pi] with m(theta) = u, for 0 < u <= pi/2."""
+    th = _interp_start(u / _U_STEP, _THETA_START)
+    for _ in range(_NEWTON_STEPS):
+        m, dm = m_and_dm(th)
+        th = th - (m - u) / dm
+    return th, np.sin(0.5 * th), np.cos(0.5 * th)
+
+
+def _solve_above_pi(u):
+    """theta in (pi, 2pi) with m(theta) = u, for u > pi/2, carried as
+    eps = 2pi - theta with Newton on log m = log u.  Returns theta together
+    with sin(theta/2) and cos(theta/2) evaluated from eps."""
+    lu = np.log(u)
+    x = (lu - _LOG_U0) / _LOG_U_STEP
+    log_eps = np.where(x < _TABLE_STEPS, _interp_start(x, _LOG_EPS_START),
+                       0.5 * (np.log(4.0 * np.pi) - lu))
+    eps = np.exp(log_eps)
+    for _ in range(_NEWTON_STEPS):
+        num, d, sn = _m_eps_terms(eps)
+        # d/deps log m = -d / num - sin(eps) / d
+        eps = eps - np.log(num / (d * u)) / (-d / num - sn / d)
+    return TWO_PI - eps, np.sin(0.5 * eps), -np.cos(0.5 * eps)
 
 
 def _solve_theta(u):
     """Solve m(theta) = u for theta in (-2pi, 2pi), elementwise.
 
-    Bisection brackets to ~1.5e-6, Newton polishes to relative residual
-    <= 1e-12 (clipped to the bracket, so convergence is unconditional).
+    Returns (theta, sin(theta/2), cos(theta/2)).  Each root starts from a
+    tabulated inverse of m and takes three Newton steps.  Below theta = pi
+    the iterate is theta (Newton on m, by Taylor series for theta < 0.5);
+    above, it is eps = 2pi - theta (Newton on log m), and the half-angle
+    sine and cosine come from eps, which theta cannot hold to full
+    precision as theta -> 2pi.  Contract: the relative residual of m at
+    the returned root is at most 1e-12 for every |u| <= CENTER_TOL^-2 (the
+    largest u off the center branch); the result is a pure function of
+    |u| and sign(u).
     """
     u = np.asarray(u, dtype=float)
     au = np.abs(u)
-    lo = np.zeros_like(au)
-    hi = np.full_like(au, TWO_PI * (1.0 - 1e-14))
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        take = _m(mid) < au
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    th = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_ITERS):
-        f, d = _m_and_dm(th)
-        step = (f - au) / d
-        th = np.clip(th - step, lo, hi)
-    return np.where(u < 0, -th, th)
+    theta = au * 0.0  # 0 at u = 0, NaN at NaN
+    s = theta.copy()
+    c = theta + 1.0
+    above = au > np.pi / 2.0
+    series = (au > 0.0) & (au < _U_SERIES)
+    direct = (au >= _U_SERIES) & ~above
+    for mask, m_and_dm in ((series, _m_series), (direct, _m_direct)):
+        if np.any(mask):
+            theta[mask], s[mask], c[mask] = _solve_below_pi(au[mask], m_and_dm)
+    if np.any(above):
+        theta[above], s[above], c[above] = _solve_above_pi(au[above])
+    neg = u < 0
+    return np.where(neg, -theta, theta), np.where(neg, -s, s), c
 
 
 # ---------------------------------------------------------------------------
@@ -208,41 +302,38 @@ def gamma(s: float, p: GeodesicParam) -> np.ndarray:
 # inversion
 # ---------------------------------------------------------------------------
 
-def _invert_arrays(zeta, t):
+def _invert_arrays(zeta, t, want_chi=False):
     """Vectorized Gamma_1^{-1} for zeta (..., n) complex, t (...).
 
-    Returns (chi, theta, dist, unique).  Center entries get the canonical
-    representative chi = sqrt(pi|t|) e_1 and unique = False.
+    Returns (chi, theta, dist, unique); chi is None unless want_chi.  Center
+    entries get the canonical representative chi = sqrt(pi|t|) e_1 and
+    unique = False.
     """
     zeta = np.asarray(zeta, dtype=complex)
     t = np.asarray(t, dtype=float)
     az = np.sqrt(np.sum(zeta.real ** 2 + zeta.imag ** 2, axis=-1))
     at = np.abs(t)
     on_center = az < CENTER_TOL * np.sqrt(at)
-    at_origin = (az == 0.0) & (t == 0.0)
-    generic = ~(on_center | at_origin)
+    generic = ~(on_center | ((az == 0.0) & (t == 0.0)))
 
     theta = np.zeros_like(at)
     dist = np.zeros_like(at)
-    chi = np.zeros_like(zeta)
+    chi = np.zeros_like(zeta) if want_chi else None
 
-    if np.any(generic):
-        u = np.where(generic, t, 0.0) / np.where(generic, az, 1.0) ** 2
-        th = _solve_theta(u)
-        sc = np.sinc(th / TWO_PI)
-        fac = np.exp(0.5j * th) / sc
-        theta = np.where(generic, th, theta)
-        dist = np.where(generic, az / sc, dist)
-        chi = np.where(generic[..., None], zeta * fac[..., None], chi)
+    az_g = az[generic]
+    th, s, c = _solve_theta(t[generic] / (az_g * az_g))
+    # |chi| / |zeta| = (theta/2) / sin(theta/2), and 1 at theta = 0
+    ratio = np.divide(0.5 * th, s, out=np.ones_like(s), where=s != 0.0)
+    theta[generic] = th
+    dist[generic] = az_g * ratio
+    if want_chi:
+        chi[generic] = zeta[generic] * ((c + 1j * s) * ratio)[:, None]
 
-    if np.any(on_center):
-        r = np.sqrt(np.pi * at)
-        theta = np.where(on_center, np.sign(t) * TWO_PI, theta)
-        dist = np.where(on_center, r, dist)
-        rep = np.zeros_like(zeta)
-        rep[..., 0] = r
-        chi = np.where(on_center[..., None], rep, chi)
-
+    r = np.sqrt(np.pi * at[on_center])
+    theta[on_center] = np.copysign(TWO_PI, t[on_center])
+    dist[on_center] = r
+    if want_chi:
+        chi[on_center, 0] = r
     return chi, theta, dist, ~on_center
 
 
@@ -252,7 +343,7 @@ def gamma_inverse(y) -> InversionResult:
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite input point")
     zeta, t = core.to_complex(y)
-    chi, theta, dist, unique = _invert_arrays(zeta[None, :], np.array([t]))
+    chi, theta, dist, unique = _invert_arrays(zeta[None, :], np.array([t]), want_chi=True)
     p = GeodesicParam(chi[0], float(theta[0]))
     return InversionResult(params=[p], unique=bool(unique[0]), distance=float(dist[0]))
 
@@ -263,17 +354,22 @@ def cc_distance(x, y) -> float:
     return float(gamma_inverse(core.group_mul(core.group_inv(x), y)).distance)
 
 
+def _twisted_difference(xs, ys):
+    """(zeta, t) of x_k^{-1} * y_k for matched clouds: zeta_y - zeta_x and
+    t_y - t_x - 2 sum Im(zeta_x conj(zeta_y)), the latter from real parts so
+    that equal points cancel exactly and swapping x and y negates it exactly."""
+    zx, tx = core.to_complex(xs)
+    zy, ty = core.to_complex(ys)
+    tw = np.sum(zx.imag * zy.real - zx.real * zy.imag, axis=-1)
+    return zy - zx, ty - tx - 2.0 * tw
+
+
 def paired_invert(xs, ys):
     """Gamma_1^{-1}(x_k^{-1} * y_k) elementwise for matched clouds.
 
     Returns (theta, dist, unique) arrays of length len(xs)."""
     xs, ys = core.check_same_dim(np.atleast_2d(xs), np.atleast_2d(ys))
-    zx, tx = core.to_complex(xs)
-    zy, ty = core.to_complex(ys)
-    dz = zy - zx
-    tw = np.sum(zx.imag * zy.real - zx.real * zy.imag, axis=-1)
-    dt = ty - tx - 2.0 * tw
-    _, theta, dist, unique = _invert_arrays(dz, dt)
+    _, theta, dist, unique = _invert_arrays(*_twisted_difference(xs, ys))
     return theta, dist, unique
 
 
@@ -350,9 +446,7 @@ def _pair_block(xs, ys, want_chi):
         - np.ascontiguousarray(zx.real) @ zy.imag.T
     )
     dt = ty[None, :] - tx[:, None] - twist
-    chi, theta, dist, unique = _invert_arrays(dzeta, dt)
-    if not want_chi:
-        chi = None
+    chi, theta, dist, unique = _invert_arrays(dzeta, dt, want_chi)
     return dist, theta, unique, chi
 
 
@@ -396,10 +490,17 @@ class MidpointSet:
     tol: float = 1e-12
 
 
+def _merge_keys(points, tol):
+    """Rounded coordinates points / tol as float keys: equal keys mean equal
+    points within tol.  Float keys cannot overflow, and -0.0 is turned into
+    0.0 so that byte-wise comparisons agree with numeric ones."""
+    return np.round(points / tol) + 0.0
+
+
 def _dedup(points, tol):
     if len(points) == 0:
         return points
-    keys = np.round(points / tol).astype(np.int64)
+    keys = _merge_keys(points, tol)
     order = np.lexsort(keys.T[::-1])
     sk = keys[order]
     first = np.empty(len(sk), dtype=bool)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -184,7 +185,10 @@ class CCBallRegion(Region):
         iv[-1] = (c[-1] - tw, c[-1] + tw)
         return BoxRegion(iv)
 
+    @cached_property
     def _mc_acceptance(self) -> tuple[float, float]:
+        """Monte-Carlo acceptance of the bounding box and its stderr, run
+        once per ball: it is a pure function of the ball."""
         rng = _rng(0x5EED_BA11)
         box = self.bounding_box()
         pts = box.sample(_BALL_VOLUME_PROPOSALS, rng)
@@ -193,11 +197,11 @@ class CCBallRegion(Region):
         return p, np.sqrt(p * (1 - p) / _BALL_VOLUME_PROPOSALS)
 
     def volume(self) -> float:
-        p, _ = self._mc_acceptance()
+        p, _ = self._mc_acceptance
         return p * self.bounding_box().volume()
 
     def volume_stderr(self) -> float:
-        _, se = self._mc_acceptance()
+        _, se = self._mc_acceptance
         return se * self.bounding_box().volume()
 
     def sample(self, N, rng) -> np.ndarray:
@@ -301,15 +305,9 @@ def region_from_json(data: dict) -> Region:
 
 def _distances_from(x, pts) -> np.ndarray:
     """CC distances d(x, p_k) for a point cloud, vectorized."""
-    x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    zx, tx = core.to_complex(x)
-    zp, tp = core.to_complex(pts)
-    dzeta = zp - zx[None, :]
-    tw = np.sum(zx.imag[None, :] * zp.real - zx.real[None, :] * zp.imag, axis=-1)
-    dt = tp - tx - 2.0 * tw
-    _, _, dist, _ = geodesy._invert_arrays(dzeta, dt)
-    return dist
+    x = np.broadcast_to(np.asarray(x, dtype=float), pts.shape)
+    return geodesy.paired_invert(x, pts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +565,7 @@ def _exact_leq(pts_a, pts_b, r):
     Cheap sandwich bounds (|dzeta| <= d, sqrt(pi |dt|/2) <= d, and
     d <= |dzeta| + sqrt(pi |dt|)) settle most pairs without a root solve.
     """
-    za, ta = core.to_complex(pts_a)
-    zb, tb = core.to_complex(pts_b)
-    dz = zb - za
-    tw = np.sum(za.imag * zb.real - za.real * zb.imag, axis=-1)
-    dt = tb - ta - 2.0 * tw
+    dz, dt = geodesy._twisted_difference(pts_a, pts_b)
     adz = np.sqrt(np.sum(dz.real ** 2 + dz.imag ** 2, axis=-1))
     adt = np.abs(dt)
     out = np.zeros(adz.shape, dtype=bool)
@@ -728,25 +722,19 @@ def _covered_queries(queries, points, pk_sorted, order, r, h, lo, shape):
         keep = dz2 <= r * r
         if not np.any(keep):
             continue
-        qi, dq, dp, dz2 = qi[keep], dq[keep], dp[keep], dz2[keep]
-        xi_q, eta_q = dq[:, 0:-1:2], dq[:, 1:-1:2]
-        xi_p, eta_p = dp[:, 0:-1:2], dp[:, 1:-1:2]
-        tw = 2.0 * np.sum(eta_q * xi_p - xi_q * eta_p, axis=1)
-        dt = dp[:, -1] - dq[:, -1] - tw
+        qi, dz2 = qi[keep], dz2[keep]
+        dzeta, dt = geodesy._twisted_difference(dq[keep], dp[keep])
         adt = np.abs(dt)
         keep = np.pi * adt / 2.0 <= r * r
         if not np.any(keep):
             continue
-        qi, dz2, adt, dt = qi[keep], dz2[keep], adt[keep], dt[keep]
+        qi, dz2, adt, dzeta, dt = qi[keep], dz2[keep], adt[keep], dzeta[keep], dt[keep]
         dz = np.sqrt(dz2)
         sure = dz + np.sqrt(np.pi * adt) <= r
         covered[qi[sure]] = True
         rest = ~sure
         if np.any(rest):
-            zq = dq[keep][rest]
-            zp = dp[keep][rest]
-            dzeta = (zp[:, 0:-1:2] - zq[:, 0:-1:2]) + 1j * (zp[:, 1:-1:2] - zq[:, 1:-1:2])
-            _, _, dist, _ = geodesy._invert_arrays(dzeta, dt[rest])
+            _, _, dist, _ = geodesy._invert_arrays(dzeta[rest], dt[rest])
             covered[qi[rest][dist <= r]] = True
     return covered
 

@@ -460,7 +460,7 @@ def interpolate(gp: GeodesicPlan, s: float, merge_tol: float = 1e-12) -> Discret
     ii, jj = gp.plan.i, gp.plan.j
     zeta, t = geodesy._gamma_arrays(s, gp.table.chi[ii, jj], gp.table.theta[ii, jj])
     pts = core.group_mul(gp.source.points[ii], core.from_complex(zeta, t))
-    keys = np.round(pts / merge_tol).astype(np.int64)
+    keys = geodesy._merge_keys(pts, merge_tol)
     _, uniq_idx, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     mass = np.bincount(inv, weights=gp.plan.mass)
     return DiscreteMeasure(pts[uniq_idx], mass / mass.sum())

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, geodesy
+from . import geodesy
 from .distortion import p_mean, tau, tau_tilde
 from .geodesy import TWO_PI, NonUniqueGeodesic
 from .measures import (
@@ -128,14 +128,7 @@ class InequalityReport:
 # ---------------------------------------------------------------------------
 
 def _pair_angles(src_pts, tgt_pts, i, j):
-    za, ta = core.to_complex(src_pts[i])
-    zb, tb = core.to_complex(tgt_pts[j])
-    dz = zb - za
-    # Im(za conj(zb)) from real parts so that equal points cancel exactly
-    tw = np.sum(za.imag * zb.real - za.real * zb.imag, axis=-1)
-    dt = tb - ta - 2.0 * tw
-    _, theta, _, _ = geodesy._invert_arrays(dz, dt)
-    return np.abs(theta)
+    return np.abs(geodesy.paired_invert(src_pts[i], tgt_pts[j])[0])
 
 
 def cd_functional(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis import core, geodesy
 from heis.geodesy import (
+    CENTER_TOL,
     TWO_PI,
     GeodesicParam,
     NonUniqueGeodesic,
@@ -287,3 +290,142 @@ class TestPairTable:
             geodesy.set_max_workers(1)
         assert np.array_equal(tab1.dist, tab2.dist)
         assert np.array_equal(tab1.theta, tab2.theta)
+
+
+class TestDedup:
+    def test_large_coordinates_stay_distinct(self):
+        pts = pt(1e7, 0.0, 0.0, 2e7, 0.0, 0.0, 3e7, 1.0, 0.0).reshape(3, 3)
+        assert np.array_equal(geodesy._dedup(pts, 1e-12), pts)
+
+    def test_merges_within_tol_and_signed_zero(self):
+        pts = pt(1.0, -0.0, 0.0, 1.0 + 1e-14, 0.0, -1e-14).reshape(2, 3)
+        assert np.array_equal(geodesy._dedup(pts, 1e-12), pts[:1])
+
+
+# queries from the origin to (u^{-1/2}, 0, 1): u = t / |zeta|^2 sweeps the
+# whole domain of the root solve, into the center branch past u = 1e20
+NEAR_AXIS_U = np.logspace(-12, 24, 145)
+
+
+def near_axis_query(u):
+    return pt(u ** -0.5, 0.0, 1.0)
+
+
+class TestNearAxis:
+    def test_round_trip(self):
+        for u in NEAR_AXIS_U:
+            y = near_axis_query(u)
+            back = gamma(1.0, gamma_inverse(y).params[0])
+            assert np.max(np.abs(back - y)) <= 1e-9, u
+
+    def test_sandwich(self):
+        origin = core.origin(1)
+        for u in NEAR_AXIS_U:
+            y = near_axis_query(u)
+            d = cc_distance(origin, y)
+            lo = max(y[0], np.sqrt(np.pi / 2.0))
+            hi = y[0] + np.sqrt(np.pi)
+            assert lo * (1 - 1e-12) <= d <= hi * (1 + 1e-12), u
+
+    def test_center_limit(self):
+        # near the axis d = sqrt(pi t) - |zeta| + O(|zeta|^3)
+        origin = core.origin(1)
+        for u in NEAR_AXIS_U[(NEAR_AXIS_U >= 1e12) & (NEAR_AXIS_U < CENTER_TOL ** -2)]:
+            y = near_axis_query(u)
+            assert abs(cc_distance(origin, y) - (np.sqrt(np.pi) - y[0])) <= 1e-12, u
+        assert cc_distance(origin, pt(1e-7, 0.0, 1.0)) == pytest.approx(
+            np.sqrt(np.pi) - 1e-7, abs=1e-9)
+
+    def test_continuous_across_center_tol(self):
+        origin = core.origin(1)
+        below = gamma_inverse(pt(CENTER_TOL * (1 + 1e-12), 0.0, 1.0))
+        above = gamma_inverse(pt(CENTER_TOL * (1 - 1e-12), 0.0, 1.0))
+        assert below.unique and not above.unique
+        assert abs(below.distance - above.distance) <= 1e-9
+        assert abs(below.params[0].theta - above.params[0].theta) <= 1e-9
+        assert cc_distance(origin, pt(0.0, 0.0, 1.0)) == np.sqrt(np.pi)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the inversion across its whole domain
+# ---------------------------------------------------------------------------
+
+# subnormal coordinates would make dilation by powers of two inexact
+coord = st.floats(-4.0, 4.0).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+points = st.tuples(coord, coord, coord).map(np.array)
+# geodesic data (chi, theta) with theta up to 2pi(1 - 1e-12); y = Gamma_1 of it
+speeds = st.floats(0.1, 10.0)
+phases = st.floats(0.0, TWO_PI)
+thetas = st.one_of(
+    st.floats(-TWO_PI * (1 - 1e-12), TWO_PI * (1 - 1e-12)),
+    # 2pi - theta log-uniform in [2pi 1e-12, 1]: the near-axis end of the domain
+    st.builds(lambda k, sign: sign * (TWO_PI - 10.0 ** k),
+              st.floats(np.log10(TWO_PI * 1e-12), 0.0), st.sampled_from([-1.0, 1.0])),
+)
+log_u = st.floats(-12.0, np.log10(CENTER_TOL ** -2))
+
+
+def geodesic_end(speed, phase, theta):
+    p = GeodesicParam(np.array([speed * np.exp(1j * phase)]), theta)
+    return p, gamma(1.0, p)
+
+
+def m_residual(u):
+    """|m(theta) - u| / |u| at the solved root.  m is evaluated from theta
+    up to pi; beyond, from the half-angle sine and cosine the solve returns,
+    since theta cannot resolve 2pi - theta there."""
+    th, s, c = geodesy._solve_theta(u)
+    if abs(th) <= np.pi:
+        m = geodesy._m(th)
+    else:
+        m = (th - 2.0 * s * c) / (2.0 * s * s)
+    return abs(m - u) / abs(u)
+
+
+class TestInversionProperties:
+    @settings(deadline=None)
+    @given(speeds, phases, thetas)
+    def test_round_trip(self, speed, phase, theta):
+        _, y = geodesic_end(speed, phase, theta)
+        back = gamma(1.0, gamma_inverse(y).params[0])
+        assert np.max(np.abs(back - y)) <= 1e-9
+
+    @settings(deadline=None)
+    @given(log_u, st.sampled_from([-1.0, 1.0]))
+    def test_relative_residual(self, lu, sign):
+        assert m_residual(np.array([sign * 10.0 ** lu]))[0] <= 1e-12
+
+    @given(st.floats(0.3, 0.6))
+    def test_series_matches_direct_form(self, theta):
+        # where both are accurate, the series form of m agrees with the
+        # closed form (whose cancellation error is below 6 eps / theta^2)
+        direct = (theta - np.sin(theta)) / (2.0 * np.sin(theta / 2.0) ** 2)
+        assert geodesy._m_series(np.array([theta]))[0][0] == pytest.approx(direct, rel=1e-14)
+
+    @settings(deadline=None)
+    @given(points, speeds, phases, thetas)
+    def test_symmetry_exact(self, x, speed, phase, theta):
+        _, g = geodesic_end(speed, phase, theta)
+        y = core.group_mul(x, g)
+        assert np.array_equal(geodesy.cc_distance_many(x, y), geodesy.cc_distance_many(y, x))
+
+    @settings(deadline=None)
+    @given(points, points, speeds, phases, thetas)
+    def test_left_invariance(self, z, x, speed, phase, theta):
+        _, g = geodesic_end(speed, phase, theta)
+        y = core.group_mul(x, g)
+        d0 = geodesy.cc_distance_many(x, y)[0]
+        d1 = geodesy.cc_distance_many(core.group_mul(z, x), core.group_mul(z, y))[0]
+        assert abs(d1 - d0) <= 1e-9 * max(1.0, d0)
+
+    @settings(deadline=None)
+    @given(points, speeds, phases, thetas, st.integers(-8, 8))
+    def test_dilation_by_powers_of_two_bitwise(self, x, speed, phase, theta, k):
+        _, g = geodesic_end(speed, phase, theta)
+        y = core.group_mul(x, g)
+        lam = 2.0 ** k
+        th0, d0, u0 = geodesy.paired_invert(x, y)
+        th1, d1, u1 = geodesy.paired_invert(core.dilate(lam, x), core.dilate(lam, y))
+        assert np.array_equal(th0, th1)
+        assert np.array_equal(lam * d0, d1)
+        assert np.array_equal(u0, u1)

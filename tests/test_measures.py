@@ -54,6 +54,26 @@ class TestRegions:
         assert v2 == pytest.approx(16.0 * v1, rel=0.02)
         assert 0 < v1 < CCBallRegion(core.origin(1), 1.0).bounding_box().volume()
 
+    def test_ball_monte_carlo_runs_once(self, monkeypatch):
+        proposals = []
+        contains = CCBallRegion.contains
+
+        def counting(self, points):
+            proposals.append(len(np.atleast_2d(points)))
+            return contains(self, points)
+
+        monkeypatch.setattr(CCBallRegion, "contains", counting)
+        ball = CCBallRegion(np.array([0.5, 0.0, 0.0]), 1.0)
+        vol, se = ball.volume(), ball.volume_stderr()
+        sample_uniform(ball, 100, seed=1)
+        normalized_measure(ball, 100, seed=2)
+        assert (ball.volume(), ball.volume_stderr()) == (vol, se)
+        assert proposals.count(measures._BALL_VOLUME_PROPOSALS) == 1
+        # a new ball is a new estimate, with the same value for the same ball
+        other = CCBallRegion(np.array([0.5, 0.0, 0.0]), 1.0)
+        assert (other.volume(), other.volume_stderr()) == (vol, se)
+        assert proposals.count(measures._BALL_VOLUME_PROPOSALS) == 2
+
     def test_box_dilation(self):
         b = BoxRegion.shifted([1.0, 0.0, 0.5])
         d = b.dilated(2.0)

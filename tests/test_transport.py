@@ -248,6 +248,15 @@ class TestInterpolation:
         mid = interpolate(gp, 0.5)
         assert np.allclose(mid.points, [[1.0, 0.0, 0.0]], atol=1e-12)
 
+    def test_distinct_far_atoms_not_merged(self):
+        # midpoints (1.1e7, 0, 0) and (2.1e7, 0, 0): rounded keys past 9.2e6 / tol
+        # must not collide
+        src = measure(np.array([[1e7, 0.0, 0.0], [2e7, 0.0, 0.0]]))
+        tgt = measure(np.array([[1.2e7, 0.0, 0.0], [2.2e7, 0.0, 0.0]]))
+        mid = interpolate(geodesic_plan(src, tgt), 0.5)
+        assert np.array_equal(mid.points, [[1.1e7, 0.0, 0.0], [2.1e7, 0.0, 0.0]])
+        assert np.array_equal(mid.weights, [0.5, 0.5])
+
     def test_center_pair_rejected(self):
         src = measure(np.array([[0.0, 0.0, 0.0]]))
         tgt = measure(np.array([[0.0, 0.0, 1.0]]))
