@@ -113,6 +113,9 @@ def _load_config(args) -> ExperimentConfig:
         cfg.s_values = _parse_s_values(args.s)
     if os.environ.get("HEIS_SEED"):
         cfg.seed = int(os.environ["HEIS_SEED"])
+    if cfg.solver != "exact" and args.command != "transport":
+        raise ValueError(f"{args.command} runs exact plans only; solver {cfg.solver!r} "
+                         "is accepted by 'heis transport' alone")
     return cfg
 
 
@@ -314,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float)
         p.add_argument("--r", type=float)
         p.add_argument("--s", help="s values: '0.25,0.5' or '0:1:0.25'")
-        p.add_argument("--solver")
+        p.add_argument("--solver", help="'exact' or 'sinkhorn(eps)'; "
+                       "only 'heis transport' accepts sinkhorn")
         p.add_argument("--output")
         p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--threads", type=int, default=1)

@@ -1,9 +1,9 @@
 """Discrete optimal transport for the squared CC cost.
 
 W_2(mu, nu) = (min_pi sum_ij pi_ij d(x_i, y_j)^2)^{1/2} over couplings pi
-with the prescribed marginals.  The exact solver is a network simplex on
-the bipartite transport polytope with deterministic lexicographic
-tie-breaking; equal-size uniform clouds take the assignment-problem fast
+with the prescribed marginals.  The exact solver is scipy's HiGHS dual
+simplex on a shortlist of arcs, certified optimal by its duals on the full
+cost matrix; equal-size uniform clouds take the assignment-problem fast
 path (the optimal vertex is then a permutation).  The approximate solver
 is a log-domain Sinkhorn iteration with epsilon-scaling.
 
@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from . import core, geodesy
@@ -40,6 +41,9 @@ __all__ = [
 
 _MARGINAL_TOL = 1e-9
 _PRUNE = 1e-15
+_SHORTLIST_K = 16  # first-LP candidate arcs per row and per column
+# the tightest HiGHS accepts; at its default 1e-7 plans can miss _MARGINAL_TOL
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 class SinkhornError(RuntimeError):
@@ -147,162 +151,81 @@ def _check_weights(C: CostMatrix, a, b):
 # ---------------------------------------------------------------------------
 
 def _northwest_corner(a, b):
-    """Deterministic initial basic feasible flow (m + n - 1 arcs)."""
-    m, n = len(a), len(b)
+    """Arcs (i, j) of the northwest-corner flow, a feasible plan."""
     ra, rb = a.copy(), b.copy()
-    arcs, flows = [], []
+    arcs = [(0, 0)]
     i = j = 0
-    while True:
+    while (i, j) != (len(a) - 1, len(b) - 1):
         q = min(ra[i], rb[j])
-        arcs.append((i, j))
-        flows.append(q)
         ra[i] -= q
         rb[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        # on ties advance the row only, keeping the basis a tree
-        if ra[i] <= 0 and i < m - 1:
+        if ra[i] <= 0 and i < len(a) - 1:
             i += 1
         else:
             j += 1
-    return arcs, flows
+        arcs.append((i, j))
+    return tuple(np.asarray(arcs).T)
 
 
-def _tree_adjacency(arcs, m):
-    adj = {}
-    for k, (i, j) in enumerate(arcs):
-        u, v = i, m + j
-        adj.setdefault(u, []).append((v, k))
-        adj.setdefault(v, []).append((u, k))
-    return adj
+def _cheapest(values, k):
+    """Mask of each row's k smallest entries and each column's k smallest."""
+    m, n = values.shape
+    mask = np.zeros((m, n), dtype=bool)
+    np.put_along_axis(mask, np.argpartition(values, min(k, n) - 1, axis=1)[:, :k], True, axis=1)
+    np.put_along_axis(mask, np.argpartition(values, min(k, m) - 1, axis=0)[:k], True, axis=0)
+    return mask
 
 
-def _potentials(arcs, cost, m, n):
-    """u_i + v_j = c_ij on basic arcs, rooted at u_0 = 0."""
-    adj = _tree_adjacency(arcs, m)
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [0]
-    seen = {0}
-    while stack:
-        node = stack.pop()
-        for nb, k in adj.get(node, ()):
-            if nb in seen:
-                continue
-            seen.add(nb)
-            i, j = arcs[k]
-            if nb >= m:
-                v[nb - m] = cost[i, j] - u[i]
-            else:
-                u[nb] = cost[i, j] - v[j]
-            stack.append(nb)
-    return u, v
+def _lp_plan(cost, a, b):
+    """Exact transportation LP: HiGHS dual simplex on a certified arc shortlist.
 
-
-def _tree_path(adj, start, goal):
-    """Arc-index path between two tree nodes (BFS, deterministic)."""
-    prev = {start: (None, None)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb, k in adj.get(node, ()):
-                if nb not in prev:
-                    prev[nb] = (node, k)
-                    if nb == goal:
-                        path = []
-                        cur = goal
-                        while cur != start:
-                            pn, pk = prev[cur]
-                            path.append((pn, cur, pk))
-                            cur = pn
-                        return path[::-1]
-                    nxt.append(nb)
-        frontier = nxt
-    raise RuntimeError("basis lost tree connectivity")
-
-
-def _network_simplex(cost, a, b, max_pivots=None):
-    """Exact transportation LP, lexicographic entering-arc preference.
-
-    Dantzig pricing (most negative reduced cost, first in row-major order
-    on ties) with a Bland fallback after a long degenerate stall, so the
-    pivot sequence is deterministic and finite.
+    The shortlist starts with each row's and column's `_SHORTLIST_K` cheapest
+    arcs and the northwest-corner arcs (so that the LP is feasible).  Each
+    round, each row's and column's most negative arc outside it under the
+    duals y, c_ij - y_i - y_{m+j} < -tol, joins it; when none is left, no arc
+    may price below -tol, which certifies the plan optimal.
     """
     m, n = cost.shape
-    arcs, flows = _northwest_corner(a, b)
-    scale = max(1.0, float(np.max(np.abs(cost))))
-    tol = 1e-11 * scale
-    if max_pivots is None:
-        max_pivots = 200 * (m + n) * max(m, n)
-    stall = 0
-    bland_after = 4 * (m + n) ** 2
-
-    for _ in range(max_pivots):
-        u, v = _potentials(arcs, cost, m, n)
-        red = cost - u[:, None] - v[None, :]
-        if stall < bland_after:
-            e_flat = int(np.argmin(red))
-            if red.flat[e_flat] >= -tol:
-                break
-        else:  # Bland: first improving arc in lexicographic order
-            neg = np.nonzero(red.ravel() < -tol)[0]
-            if len(neg) == 0:
-                break
-            e_flat = int(neg[0])
-        ei, ej = divmod(e_flat, n)
-
-        adj = _tree_adjacency(arcs, m)
-        path = _tree_path(adj, m + ej, ei)
-        # adding flow on (ei, ej): walk sink -> source; a path step from a
-        # sink to its source decreases that arc, source to sink increases
-        dec = []
-        for frm, to, k in path:
-            if frm >= m:  # sink -> source: arc (to, frm - m) loses flow
-                dec.append(k)
-        delta = min(flows[k] for k in dec)
-        # ties break on the arc's (i, j) order, as Bland's rule requires
-        leave = min((arcs[k][0] * n + arcs[k][1], k) for k in dec
-                    if flows[k] == delta)[1]
-
-        for frm, to, k in path:
-            if frm >= m:
-                flows[k] -= delta
-            else:
-                flows[k] += delta
-        arcs[leave] = (ei, ej)
-        flows[leave] = delta
-        stall = stall + 1 if delta <= 0 else 0
-    else:
-        raise RuntimeError("network simplex exceeded its pivot budget")
-
-    arcs = np.asarray(arcs, dtype=np.int64)
-    flows = np.asarray(flows, dtype=float)
-    keep = flows > 0
-    return arcs[keep, 0], arcs[keep, 1], flows[keep]
+    tol = 1e-11 * max(1.0, float(np.max(np.abs(cost))))
+    keep = _cheapest(cost, _SHORTLIST_K)
+    keep[_northwest_corner(a, b)] = True
+    while True:
+        ii, jj = np.nonzero(keep)
+        # column k of A_eq is arc (ii[k], jj[k]): a 1 in row ii[k] and in row m + jj[k]
+        A_eq = sparse.csc_array((np.ones(2 * len(ii)), np.column_stack([ii, m + jj]).ravel(),
+                                 np.arange(0, 2 * len(ii) + 1, 2)), shape=(m + n, len(ii)))
+        res = linprog(cost[ii, jj], A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                      bounds=(0, None), method="highs-ds", options=_HIGHS_TOLERANCES)
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS failed on the transport LP: {res.message}")
+        y = res.eqlin.marginals
+        reduced = cost - y[:m, None] - y[None, m:]
+        outside = np.where(keep, np.inf, reduced)
+        new = _cheapest(outside, 1) & (outside < -tol)
+        if not new.any():
+            break
+        keep |= new
+    if reduced.min() < -tol:
+        raise RuntimeError(f"LP plan not certified: reduced cost {reduced.min():.3e} < -{tol:.3e}")
+    pos = res.x > 0
+    return ii[pos], jj[pos], res.x[pos]
 
 
 def solve_exact(C: CostMatrix, src_weights, tgt_weights) -> TransportPlan:
     """Exact minimizer of sum pi_ij c_ij subject to the marginals.
 
     Equal-size uniform clouds dispatch to the assignment problem (the
-    optimal basic solution is a permutation); everything else runs the
-    network simplex.  Both paths are deterministic.
+    optimal basic solution is a permutation); everything else solves the LP
+    with the HiGHS dual simplex on an arc shortlist whose optimality is
+    certified on the full cost matrix (`_lp_plan`).  Both paths are
+    deterministic.
     """
     a, b = _check_weights(C, src_weights, tgt_weights)
-    uniform = (
-        len(a) == len(b)
-        and np.all(a == a[0])
-        and np.all(b == b[0])
-        and a[0] == b[0]
-    )
-    if uniform:
-        rows, cols = linear_sum_assignment(C.cost)
-        mass = np.full(len(rows), a[0])
-        i, j, mass = rows.astype(np.int64), cols.astype(np.int64), mass
+    if len(a) == len(b) and np.all(a == a[0]) and np.all(b == a[0]):
+        i, j = (v.astype(np.int64) for v in linear_sum_assignment(C.cost))
+        mass = np.full(len(i), a[0])
     else:
-        i, j, mass = _network_simplex(C.cost, a, b)
+        i, j, mass = _lp_plan(C.cost, a, b)
     cost = float(np.sum(mass * C.cost[i, j]))
     plan = TransportPlan(i=i, j=j, mass=mass, cost=cost, method="exact_lp")
     _assert_marginals(plan, a, b)
@@ -391,17 +314,20 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
     return plan
 
 
+def _solve(C: CostMatrix, src: DiscreteMeasure, tgt: DiscreteMeasure,
+           method: str, epsilon: float | None, **kw) -> TransportPlan:
+    if method == "exact":
+        return solve_exact(C, src.weights, tgt.weights)
+    if method == "sinkhorn":
+        eps = epsilon if epsilon is not None else 0.05 * float(np.median(C.cost))
+        return solve_sinkhorn(C, src.weights, tgt.weights, eps, **kw)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def w2(src: DiscreteMeasure, tgt: DiscreteMeasure, method: str = "exact",
        epsilon: float | None = None, **kw) -> float:
     """Wasserstein distance: sqrt of the (possibly regularized) optimal cost."""
-    C = cost_matrix(src, tgt)
-    if method == "exact":
-        plan = solve_exact(C, src.weights, tgt.weights)
-    elif method == "sinkhorn":
-        eps = epsilon if epsilon is not None else 0.05 * float(np.median(C.cost))
-        plan = solve_sinkhorn(C, src.weights, tgt.weights, eps, **kw)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    plan = _solve(cost_matrix(src, tgt), src, tgt, method, epsilon, **kw)
     return float(np.sqrt(max(plan.cost, 0.0)))
 
 
@@ -435,13 +361,7 @@ def geodesic_plan(src: DiscreteMeasure, tgt: DiscreteMeasure,
     """Solve transport and keep the geodesic data for interpolation."""
     if C is None or C.table is None or C.table.chi is None:
         C = cost_matrix(src, tgt, want_chi=True)
-    if method == "exact":
-        plan = solve_exact(C, src.weights, tgt.weights)
-    elif method == "sinkhorn":
-        eps = epsilon if epsilon is not None else 0.05 * float(np.median(C.cost))
-        plan = solve_sinkhorn(C, src.weights, tgt.weights, eps, **kw)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    plan = _solve(C, src, tgt, method, epsilon, **kw)
     return GeodesicPlan(plan=plan, source=src, target=tgt, table=C.table)
 
 

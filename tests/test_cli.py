@@ -101,6 +101,24 @@ class TestVerifyCommands:
         mass = sum(p[2] for p in plan["pairs"])
         assert mass == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-cd"], ["verify-bmi"], ["verify-sbmi"], ["verify-bbl"],
+        ["sweep", "--target", "bmi"], ["dilate-check"], ["step-limit"],
+    ])
+    def test_non_exact_solver_rejected(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--solver", "sinkhorn(0.1)", "--dry-run") == 1
+        assert "runs exact plans only" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(ExperimentConfig(solver="sinkhorn").to_json()))
+        assert run_cli(*argv, "--config", str(cfg), "--dry-run") == 1
+        assert run_cli(*argv, "--solver", "exact", "--dry-run") == 0
+
+    def test_transport_honours_sinkhorn(self, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        assert run_cli("transport", "--N", "32", "--solver", "sinkhorn(0.1)",
+                       "--output", str(out)) == 0
+        assert json.loads(out.read_text())["method"] == "sinkhorn(0.1)"
+
     def test_sweep_bbl_and_step_limit(self, tmp_path, capsys):
         assert run_cli("sweep", "--target", "bmi", "--N", "60", "--h", "0.1",
                        "--r", "0.1", "--s", "0:1:0.5") == 0

@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linear_sum_assignment
 
-from heis import core, geodesy
+from heis import core, geodesy, transport
 from heis.measures import BoxRegion, DiscreteMeasure, normalized_measure
 from heis.transport import (
+    CostMatrix,
     GeodesicPlan,
     SinkhornError,
     TransportPlan,
@@ -36,6 +40,31 @@ def brute_force_assignment_cost(C):
     for perm in itertools.permutations(range(m)):
         best = min(best, sum(C[i, perm[i]] for i in range(m)) / m)
     return best
+
+
+def replicated_assignment_cost(C, p, q):
+    """Optimal cost for the marginals p / D, q / D (integer p, q summing to
+    D), solved as an assignment between atoms repeated p_i and q_j times; it
+    shares no code with the LP solver."""
+    sub = C[np.ix_(np.repeat(np.arange(len(p)), p), np.repeat(np.arange(len(q)), q))]
+    r, c = linear_sum_assignment(sub)
+    return sub[r, c].sum() / len(r)
+
+
+def composition(rng, total, parts):
+    """`parts` positive integers summing to `total`."""
+    cuts = np.sort(rng.choice(np.arange(1, total), parts - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [total]]))
+
+
+def no_negative_cycle(cost, i, j, tol):
+    """The support {(i_k, j_k)} is c-cyclically monotone iff the graph with
+    arcs k -> l of weight c(i_k, j_l) - c(i_k, j_k) has no negative cycle
+    (Floyd-Warshall: the diagonal ends as the cheapest cycle through k)."""
+    D = cost[i[:, None], j[None, :]] - cost[i, j][:, None]
+    for k in range(len(i)):
+        D = np.minimum(D, D[:, k:k + 1] + D[k:k + 1, :])
+    return bool(np.all(np.diag(D) >= -tol))
 
 
 class TestCostMatrix:
@@ -85,7 +114,7 @@ class TestSolveExact:
             want = brute_force_assignment_cost(C.cost)
             assert np.round(plan.cost, 12) == np.round(want, 12)
 
-    def test_network_simplex_matches_linprog(self):
+    def test_lp_matches_linprog(self):
         from scipy.optimize import linprog
 
         rng = np.random.default_rng(3)
@@ -107,6 +136,99 @@ class TestSolveExact:
             res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
                           method="highs")
             assert plan.cost == pytest.approx(res.fun, abs=1e-9)
+
+    def test_cost_matches_replicated_assignment(self):
+        # rational marginals with denominator D <= 12, m != n allowed, and
+        # half the instances with costs in {0, 1, 2} (heavily tied, degenerate)
+        rng = np.random.default_rng(22)
+        for trial in range(60):
+            D = int(rng.integers(3, 13))
+            p = composition(rng, D, int(rng.integers(1, D + 1)))
+            q = composition(rng, D, int(rng.integers(1, D + 1)))
+            if trial % 2:
+                C = rng.integers(0, 3, (len(p), len(q))).astype(float)
+            else:
+                C = rng.random((len(p), len(q)))
+            plan = solve_exact(CostMatrix(C, np.zeros_like(C)), p / D, q / D)
+            assert abs(plan.cost - replicated_assignment_cost(C, p, q)) <= 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_plan_properties(self, m, n, seed, tied):
+        rng = np.random.default_rng(seed)
+        C = rng.integers(0, 4, (m, n)).astype(float) if tied else rng.random((m, n))
+        a = rng.random(m) + 0.05
+        b = rng.random(n) + 0.05
+        a /= a.sum()
+        b /= b.sum()
+        plan = solve_exact(CostMatrix(C, np.zeros_like(C)), a, b)
+        assert len(plan) <= m + n - 1
+        assert np.max(np.abs(plan.row_sums(m) - a)) <= 1e-9
+        assert np.max(np.abs(plan.col_sums(n) - b)) <= 1e-9
+        # each arc of a cycle may price down to the certificate tolerance
+        assert no_negative_cycle(C, plan.i, plan.j, (m + n) * 1e-11 * max(1.0, C.max()))
+
+    def test_second_shortlist_round_certified(self, monkeypatch):
+        # c_ij = (i + 1)(j + 1): every row's cheapest columns and every
+        # column's cheapest rows are the first ones, and the northwest corner
+        # is the costliest plan, while the optimum runs along the antidiagonal
+        m, n = 48, 40
+        C = np.outer(np.arange(1.0, m + 1), np.arange(1.0, n + 1))
+        rng = np.random.default_rng(23)
+        p = rng.integers(1, 3, m)
+        q = composition(rng, int(p.sum()), n)
+        solves = []
+
+        def recording_linprog(*args, linprog=transport.linprog, **kw):
+            solves.append(linprog(*args, **kw))
+            return solves[-1]
+
+        monkeypatch.setattr(transport, "linprog", recording_linprog)
+        plan = solve_exact(CostMatrix(C, np.zeros_like(C)), p / p.sum(), q / p.sum())
+        assert len(solves) >= 2
+        y = solves[-1].eqlin.marginals
+        assert np.min(C - y[:m, None] - y[None, m:]) >= -1e-11 * np.max(C)
+        assert abs(plan.cost - replicated_assignment_cost(C, p, q)) <= 1e-12 * np.max(C)
+
+    def test_highs_failure_raises(self, monkeypatch):
+        C = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        monkeypatch.setattr(transport, "linprog", lambda *args, **kw: OptimizeResult(
+            status=4, message="Numerical difficulties encountered."))
+        with pytest.raises(RuntimeError, match="Numerical difficulties"):
+            solve_exact(CostMatrix(C, np.zeros_like(C)), [0.2, 0.3, 0.5], [0.6, 0.4])
+
+    def test_uncertified_duals_raise(self, monkeypatch):
+        # raising y_0 by 1 prices row 0's basic arcs at -1; on a matrix this
+        # small every arc is shortlisted already, so no round can repair it
+        C = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+
+        def shifted_duals(*args, linprog=transport.linprog, **kw):
+            res = linprog(*args, **kw)
+            res.eqlin.marginals[0] += 1.0
+            return res
+
+        monkeypatch.setattr(transport, "linprog", shifted_duals)
+        with pytest.raises(RuntimeError, match="not certified"):
+            solve_exact(CostMatrix(C, np.zeros_like(C)), [0.2, 0.3, 0.5], [0.6, 0.4])
+
+    def test_deterministic_across_calls_and_workers(self, monkeypatch):
+        # 1024-pair chunks split the 60 x 45 pair table between two workers
+        monkeypatch.setattr(geodesy, "_CHUNK", 1 << 10)
+        rng = np.random.default_rng(24)
+        wa, wb = rng.random(60) + 0.5, rng.random(45) + 0.5
+        src = measure(cloud(rng, 60), wa / wa.sum())
+        tgt = measure(cloud(rng, 45, shift=0.5), wb / wb.sum())
+        plans = []
+        for workers in (1, 1, 2):
+            geodesy.set_max_workers(workers)
+            try:
+                plans.append(solve_exact(cost_matrix(src, tgt), src.weights, tgt.weights))
+            finally:
+                geodesy.set_max_workers(1)
+        for plan in plans[1:]:
+            for field in ("i", "j", "mass"):
+                assert getattr(plan, field).tobytes() == getattr(plans[0], field).tobytes()
 
     def test_support_size_bound(self):
         rng = np.random.default_rng(4)
