@@ -44,9 +44,11 @@ __all__ = ["main", "ExperimentConfig"]
 
 @dataclass
 class ExperimentConfig:
-    """Everything a verification run needs; round-trips through JSON."""
+    """Everything a verification run needs; round-trips through JSON.
 
-    n: int = 1
+    The dimension n is not a setting: it is read off the regions, and a
+    JSON config whose "n" disagrees with them is rejected."""
+
     A: dict = field(default_factory=lambda: BoxRegion.unit(1).to_json())
     B: dict = field(default_factory=lambda: BoxRegion.shifted([2.0, 0.0, 0.0]).to_json())
     s_values: list = field(default_factory=lambda: [0.25, 0.5, 0.75])
@@ -59,12 +61,25 @@ class ExperimentConfig:
     format: str = "json"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"n": self.n, **asdict(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
+        cfg = cls(**known)
+        n = cfg.n  # also checks that the regions agree
+        if data.get("n", n) != n:
+            raise ValueError(f"config n = {data['n']!r} disagrees with its regions, "
+                             f"which have n = {n}")
+        return cfg
+
+    @property
+    def n(self) -> int:
+        n = self.region_a().n
+        if self.region_b().n != n:
+            raise ValueError(f"config regions disagree: A has n = {n}, "
+                             f"B has n = {self.region_b().n}")
+        return n
 
     def region_a(self) -> Region:
         return region_from_json(self.A)
@@ -242,17 +257,17 @@ def _cmd_verify_bbl(args) -> int:
     cfg = _load_config(args)
     if args.dry_run:
         return _dry_run(cfg, {"p": args.p, "pairing": args.pairing})
-    A, B = cfg.region_a(), cfg.region_b()
+    A, B, n = cfg.region_a(), cfg.region_b(), cfg.n
     hull_a = A.bounding_box().intervals
     hull_b = B.bounding_box().intervals
     box = BoxRegion(np.stack([np.minimum(hull_a[:, 0], hull_b[:, 0]),
                               np.maximum(hull_a[:, 1], hull_b[:, 1])], axis=1))
-    shape = tuple([args.cells] * (2 * cfg.n + 1))
+    shape = tuple([args.cells] * (2 * n + 1))
     p = float("inf") if args.p == "inf" else float(args.p)
     reports = []
     for s in cfg.s_values:
-        c1 = tau_tilde(cfg.n, 1.0 - s, 0.0) ** (2 * cfg.n + 1)
-        c2 = tau_tilde(cfg.n, s, 0.0) ** (2 * cfg.n + 1)
+        c1 = tau_tilde(n, 1.0 - s, 0.0) ** (2 * n + 1)
+        c2 = tau_tilde(n, s, 0.0) ** (2 * n + 1)
         f = GridFunction.indicator(A, box, shape, scale=c1)
         g = GridFunction.indicator(B, box, shape, scale=c2)
         h_fn = GridFunction.indicator(box, box, shape, scale=1.0)

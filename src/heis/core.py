@@ -80,10 +80,11 @@ def from_complex(zeta, t) -> np.ndarray:
     return out
 
 
-def _twist(x, y):
-    """2 sum_j Im(zeta_j conj(zeta'_j)) = 2 sum_j (eta_j xi'_j - xi_j eta'_j)."""
-    xi, eta = x[..., 0:-1:2], x[..., 1:-1:2]
-    xip, etap = y[..., 0:-1:2], y[..., 1:-1:2]
+def _twist(zx, zy):
+    """2 sum_j Im(zeta_j conj(zeta'_j)) = 2 sum_j (eta_j xi'_j - xi_j eta'_j)
+    for zeta parts given as interleaved reals (..., 2n)."""
+    xi, eta = zx[..., 0::2], zx[..., 1::2]
+    xip, etap = zy[..., 0::2], zy[..., 1::2]
     return 2.0 * np.sum(eta * xip - xi * etap, axis=-1)
 
 
@@ -91,7 +92,7 @@ def group_mul(x, y) -> np.ndarray:
     """Group product x * y."""
     x, y = check_same_dim(x, y)
     out = x + y
-    out[..., -1] = x[..., -1] + y[..., -1] + _twist(x, y)
+    out[..., -1] = x[..., -1] + y[..., -1] + _twist(x[..., :-1], y[..., :-1])
     return out
 
 

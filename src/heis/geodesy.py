@@ -360,8 +360,7 @@ def _twisted_difference(xs, ys):
     that equal points cancel exactly and swapping x and y negates it exactly."""
     zx, tx = core.to_complex(xs)
     zy, ty = core.to_complex(ys)
-    tw = np.sum(zx.imag * zy.real - zx.real * zy.imag, axis=-1)
-    return zy - zx, ty - tx - 2.0 * tw
+    return zy - zx, ty - tx - core._twist(xs[..., :-1], ys[..., :-1])
 
 
 def paired_invert(xs, ys):
@@ -482,12 +481,11 @@ def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
 
 @dataclass
 class MidpointSet:
-    """Deduplicated s-intermediate points of A x B with a skip count for
-    non-unique (center) pairs."""
+    """s-intermediate points of A x B with a skip count for non-unique
+    (center) pairs."""
 
     points: np.ndarray
     skipped: int = 0
-    tol: float = 1e-12
 
 
 def _merge_keys(points, tol):
@@ -497,25 +495,22 @@ def _merge_keys(points, tol):
     return np.round(points / tol) + 0.0
 
 
-def _dedup(points, tol):
-    if len(points) == 0:
-        return points
-    keys = _merge_keys(points, tol)
-    order = np.lexsort(keys.T[::-1])
-    sk = keys[order]
-    first = np.empty(len(sk), dtype=bool)
-    first[0] = True
-    first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    return points[np.sort(order[first])]
+def midpoint_set(s: float, A, B, table: PairTable | None = None) -> MidpointSet:
+    """Z_s(A, B) over sample clouds, in the pair table's row-major order.
 
-
-def midpoint_set(s: float, A, B, tol: float = 1e-12,
-                 table: PairTable | None = None) -> MidpointSet:
-    """Z_s(A, B) over sample clouds: all |A|*|B| midpoints, deduplicated
-    within absolute coordinate tolerance `tol` (canonical order, so the
-    result is deterministic).  Center pairs are skipped and counted."""
+    Center pairs are skipped and counted.  At s = 0 and s = 1 every pair's
+    midpoint is its endpoint (x * Gamma_1(x^{-1} y) = y), so the set is the
+    rows of A, resp. B, that have at least one non-center pair; in between
+    it holds all |A|*|B| - skipped midpoints, duplicates included (no
+    consumer depends on multiplicity: occupancy counts cells).
+    """
     if table is None:
         table = pair_table(A, B, want_chi=True)
-    pts = table.midpoints(s)
     skipped = int(table.unique.size - np.count_nonzero(table.unique))
-    return MidpointSet(points=_dedup(pts, tol), skipped=skipped, tol=tol)
+    if s == 0.0:
+        pts = table.xs[np.any(table.unique, axis=1)]
+    elif s == 1.0:
+        pts = table.ys[np.any(table.unique, axis=0)]
+    else:
+        pts = table.midpoints(s)
+    return MidpointSet(points=pts, skipped=skipped)

@@ -612,9 +612,7 @@ def _covered_cells_r(points, r, h, lo, shape):
         dz_n = np.sqrt(dz2[near])
         # t of x^{-1} c is t_c - t_p - 2 sum Im(zeta_p conj(zeta_c));
         # require |that| <= w_t, i.e. t_c in [t_p + tw - w_t, t_p + tw + w_t]
-        xi_p, eta_p = zr_n[:, 0::2], zr_n[:, 1::2]
-        xi_c, eta_c = czeta_n[:, 0::2], czeta_n[:, 1::2]
-        tw = 2.0 * np.sum(eta_p * xi_c - xi_p * eta_c, axis=1)
+        tw = core._twist(zr_n, czeta_n)
         t_lo = tp_n + tw - w_t
         t_hi = tp_n + tw + w_t
         k_min = np.ceil(t_lo / h - 0.5).astype(np.int64)
@@ -677,46 +675,76 @@ def _ranges_concat(starts, counts):
     return rep, starts[rep] + within
 
 
-def _covered_queries(queries, points, pk_sorted, order, r, h, lo, shape):
-    """covered(q) = some point lies within CC distance r of q, via the
-    binned point index; fully vectorized over (query, cell, point) triples."""
+def _covered_queries(queries, points, r, h):
+    """covered(q) = some point lies within CC distance r of q.
+
+    Points are binned by zeta-cell and by floor(S_p / h), where S_p is the
+    t of c_p^{-1} p and c_p = (center of p's zeta-cell, t = 0).  For a probe
+    q and a neighbour zeta-cell with center c, b = zeta_q - c and
+    Q = t_q + 2 sum(b_eta xi_q - b_xi eta_q), the twisted t of q^{-1} p is
+    exactly S_p - Q - 2 sum(b_eta dxi - b_xi deta), so every pair with
+    |dzeta| <= r and pi |dt| / 2 <= r^2 has |S_p - Q| <= 2 r^2 / pi + 2 |b| r;
+    a neighbour cell farther than r from zeta_q is not searched.  Rounding
+    margins on both bounds make the candidates a superset of the pairs that
+    pass the float tests below, which decide every candidate.
+    """
     d = queries.shape[1]
     n = (d - 1) // 2
-    m_z = int(np.ceil(r / h)) + 1
     covered = np.zeros(len(queries), dtype=bool)
-    base = np.floor(queries / h).astype(np.int64)
-    zq_abs = np.sqrt(np.sum(queries[:, :-1] ** 2, axis=1))
-    t_reach = 2.0 * r * r / np.pi + 2.0 * zq_abs * r
-    k_lo = np.floor((queries[:, -1] - t_reach) / h).astype(np.int64)
-    k_hi = np.floor((queries[:, -1] + t_reach) / h).astype(np.int64)
-    k_lo = np.clip(k_lo, lo[-1], lo[-1] + shape[-1] - 1)
-    k_hi = np.clip(k_hi, lo[-1], lo[-1] + shape[-1] - 1)
+    zp = points[:, :-1]
+    cell_p = np.floor(zp / h).astype(np.int64)
+    k_p = np.floor((points[:, -1] - core._twist((cell_p + 0.5) * h, zp)) / h).astype(np.int64)
+    z_lo = cell_p.min(axis=0)
+    k_lo, k_hi = k_p.min(), k_p.max()
+    shape = tuple((cell_p.max(axis=0) - z_lo + 1).tolist()) + (int(k_hi - k_lo + 1),)
+    keys = np.ravel_multi_index((*(cell_p - z_lo).T, k_p - k_lo), shape)
+    order = np.argsort(keys)  # covered(q) does not depend on the order of ties
+    sorted_keys = keys[order]
+
+    zq = queries[:, :-1]
+    tq = queries[:, -1]
+    base = np.floor(zq / h).astype(np.int64)
+    zq_abs = np.sqrt(np.sum(zq ** 2, axis=1))
+    w_t = 2.0 * r * r / np.pi
+    margin = 1e-9 * (1.0 + np.abs(tq) + (zq_abs + r + h) ** 2)
+    m_z = int(np.ceil(r / h)) + 1
     offsets = np.stack(np.meshgrid(*([np.arange(-m_z, m_z + 1)] * (2 * n)),
                                    indexing="ij"), axis=-1).reshape(-1, 2 * n)
     reach = np.sqrt(np.sum((np.maximum(np.abs(offsets) - 1.0, 0.0) * h) ** 2, axis=1))
     offsets = offsets[np.argsort(reach, kind="stable")]
     offsets = offsets[np.sort(reach) <= r]
-    grid_lo = lo[:-1]
-    grid_hi = lo[:-1] + np.asarray(shape[:-1])
+    z_hi = z_lo + np.asarray(shape[:-1])
+    slack = 1e-9 * (1.0 + zq_abs + r + h)
     for off in offsets:
-        zidx = base[:, :-1] + off
-        ok = (np.all((zidx >= grid_lo) & (zidx < grid_hi), axis=1)) & ~covered
-        counts = np.where(ok, k_hi - k_lo + 1, 0).astype(np.int64)
-        rep_q, ks = _ranges_concat(k_lo, counts)
-        if len(rep_q) == 0:
+        cell = base + off
+        # gap from zeta_q to the neighbour cell, per axis
+        gap = np.where(off > 0, cell * h - zq, np.where(off < 0, zq - (cell + 1) * h, 0.0))
+        gap2 = np.sum(np.maximum(gap, 0.0) ** 2, axis=1)
+        ok = np.all((cell >= z_lo) & (cell < z_hi), axis=1) & ~covered
+        qi = np.nonzero(ok & (gap2 <= (r + slack) ** 2))[0]
+        if len(qi) == 0:
             continue
-        cand_idx = np.concatenate([zidx[rep_q], ks[:, None]], axis=1)
-        keys = _encode(cand_idx, lo, shape)
-        p0 = np.searchsorted(pk_sorted, keys, side="left")
-        p1 = np.searchsorted(pk_sorted, keys, side="right")
-        rep2, pos = _ranges_concat(p0, (p1 - p0).astype(np.int64))
-        if len(rep2) == 0:
+        cell = cell[qi]
+        b = zq[qi] - (cell + 0.5) * h
+        Q = tq[qi] + core._twist(b, zq[qi])
+        w = w_t + 2.0 * np.sqrt(np.sum(b * b, axis=1)) * r + margin[qi]
+        k0 = np.maximum(np.floor((Q - w) / h).astype(np.int64), k_lo)
+        k1 = np.minimum(np.floor((Q + w) / h).astype(np.int64), k_hi)
+        nonempty = k0 <= k1
+        qi, cell, k0, k1 = qi[nonempty], cell[nonempty], k0[nonempty], k1[nonempty]
+        zcell = tuple((cell - z_lo).T)
+        p0 = np.searchsorted(sorted_keys, np.ravel_multi_index((*zcell, k0 - k_lo), shape),
+                             side="left")
+        p1 = np.searchsorted(sorted_keys, np.ravel_multi_index((*zcell, k1 - k_lo), shape),
+                             side="right")
+        rep, pos = _ranges_concat(p0, p1 - p0)
+        if len(rep) == 0:
             continue
-        qi = rep_q[rep2]
-        pi = order[pos]
-        # staged pruning on raw coordinates before any root solve
+        qi = qi[rep]
+        # the float test chain: |dzeta| <= r, pi |dt| / 2 <= r^2, then the
+        # sufficient bound |dzeta| + sqrt(pi |dt|) <= r, then the root solve
         dq = queries[qi]
-        dp = points[pi]
+        dp = points[order[pos]]
         diff = dp[:, :-1] - dq[:, :-1]
         dz2 = np.sum(diff * diff, axis=1)
         keep = dz2 <= r * r
@@ -797,12 +825,9 @@ def estimate_volume(points, r: float, h: float, bound: Region,
         if len(bidx) > max_mc_cells:
             bidx = bidx[np.linspace(0, len(bidx) - 1, max_mc_cells).astype(int)]
         scale = n_bnd / len(bidx)
-        point_keys = _encode(np.clip(idx, lo, lo + np.asarray(shape) - 1), lo, shape)
-        order = np.argsort(point_keys, kind="stable")
-        pk_sorted = point_keys[order]
         q = (np.repeat(cells_idx[bidx], mc_per_cell, axis=0)
              + rng.random((len(bidx) * mc_per_cell, d))) * h
-        cov = _covered_queries(q, points, pk_sorted, order, r, h, lo, shape)
+        cov = _covered_queries(q, points, r, h)
         f = cov.reshape(len(bidx), mc_per_cell).mean(axis=1)
         stderr = float(np.sqrt(np.sum(f * (1.0 - f)) * scale) * h ** d)
 

@@ -20,6 +20,29 @@ class TestConfig:
         assert back == cfg
         assert json.dumps(back.to_json()) == blob
 
+    def test_n_is_read_off_the_regions(self, tmp_path, capsys):
+        from heis.measures import BoxRegion
+        cfg = ExperimentConfig(A=BoxRegion.unit(2).to_json(), B=BoxRegion.unit(2).to_json())
+        assert cfg.n == 2 and cfg.to_json()["n"] == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_json()))
+        assert run_cli("verify-bbl", "--config", str(path), "--dry-run") == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
+
+    @pytest.mark.parametrize("command", ["verify-bbl", "verify-bmi", "step-limit"])
+    def test_config_n_disagreeing_with_regions_rejected(self, command, tmp_path, capsys):
+        data = ExperimentConfig().to_json()
+        data["n"] = 2  # the default regions are unit boxes in H^1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(command, "--config", str(path), "--dry-run") == 1
+        assert "disagrees with its regions" in capsys.readouterr().err
+        del data["n"]
+        data["B"] = {"kind": "box", "intervals": [[0, 1]] * 5}
+        path.write_text(json.dumps(data))
+        assert run_cli(command, "--config", str(path)) == 1
+        assert "regions disagree" in capsys.readouterr().err
+
     def test_s_range_parsing(self):
         assert _parse_s_values("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert _parse_s_values("0.25,0.5") == [0.25, 0.5]

@@ -234,10 +234,42 @@ class TestMidpointSet:
         A = rand_points(rng, 6)
         B = rand_points(rng, 4)
         ms = midpoint_set(0.0, A, B)
-        assert ms.points.shape[0] == 6  # deduplicated copies of A
+        assert ms.points.shape[0] == 6
         got = set(map(tuple, np.round(ms.points, 9)))
         want = set(map(tuple, np.round(A, 9)))
         assert got == want
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_endpoints_are_the_clouds_row_for_row(self, s):
+        rng = np.random.default_rng(19)
+        A = rand_points(rng, 7)
+        B = rand_points(rng, 5)
+        ms = midpoint_set(s, A, B)
+        assert np.array_equal(ms.points, A if s == 0.0 else B)
+        assert ms.skipped == 0
+        # the interior set holds all 35 midpoints, which at the endpoints
+        # are (near-)copies of the rows returned here
+        table = pair_table(A, B, want_chi=True)
+        near = table.midpoints(s)
+        assert len(midpoint_set(0.5, A, B, table=table).points) == 35
+        rows = np.repeat(A, 5, axis=0) if s == 0.0 else np.tile(B, (7, 1))
+        assert np.allclose(near, rows, rtol=0.0, atol=1e-12)
+
+    def test_endpoints_drop_rows_with_only_center_pairs(self):
+        # the origin reaches B's only point along the center: that pair is
+        # skipped, and the origin has no other pair
+        A = np.vstack([core.origin(1), pt(1.0, 0.0, 0.0)])
+        B = np.vstack([pt(0.0, 0.0, 1.0), pt(1.0, 0.0, 0.0)])
+        for s, want in ((0.0, A), (1.0, B)):
+            ms = midpoint_set(s, A, B)
+            assert ms.skipped == 1
+            assert np.array_equal(ms.points, want)
+        A1 = core.origin(1)[None, :]
+        B1 = pt(0.0, 0.0, 1.0)[None, :]
+        for s in (0.0, 1.0):
+            ms = midpoint_set(s, A1, B1)
+            assert ms.skipped == 1
+            assert ms.points.shape == (0, 3)
 
     def test_derived_pair(self):
         ms = midpoint_set(0.5, core.origin(1)[None, :], pt(2.0, 0.0, 0.0)[None, :])
@@ -293,13 +325,24 @@ class TestPairTable:
 
 
 class TestDedup:
+    """The merge keys of `transport.interpolate`: equal keys, byte for byte,
+    exactly for points within the tolerance."""
+
+    @staticmethod
+    def merged(pts):
+        keys = geodesy._merge_keys(pts, 1e-12)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        return pts[np.sort(first)]
+
     def test_large_coordinates_stay_distinct(self):
         pts = pt(1e7, 0.0, 0.0, 2e7, 0.0, 0.0, 3e7, 1.0, 0.0).reshape(3, 3)
-        assert np.array_equal(geodesy._dedup(pts, 1e-12), pts)
+        assert np.array_equal(self.merged(pts), pts)
 
     def test_merges_within_tol_and_signed_zero(self):
         pts = pt(1.0, -0.0, 0.0, 1.0 + 1e-14, 0.0, -1e-14).reshape(2, 3)
-        assert np.array_equal(geodesy._dedup(pts, 1e-12), pts[:1])
+        assert np.array_equal(self.merged(pts), pts[:1])
+        keys = geodesy._merge_keys(pts, 1e-12)
+        assert keys[0].tobytes() == keys[1].tobytes()
 
 
 # queries from the origin to (u^{-1/2}, 0, 1): u = t / |zeta|^2 sweeps the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis import core, geodesy, measures
 from heis.measures import (
@@ -324,6 +326,103 @@ class TestEstimateVolume:
         est = estimate_volume(pts, 0.08, 0.05, self.bound())
         assert est.stderr > 0
         assert est.cells_boundary > 0
+
+
+def brute_covered(queries, points, r):
+    """covered(q) from every (probe, point) pair through the probe search's
+    float test chain: |dzeta|^2 <= r^2, pi |dt| / 2 <= r^2, then
+    |dzeta| + sqrt(pi |dt|) <= r, then the root solve."""
+    qi, pi = np.divmod(np.arange(len(queries) * len(points)), len(points))
+    dq, dp = queries[qi], points[pi]
+    diff = dp[:, :-1] - dq[:, :-1]
+    dz2 = np.sum(diff * diff, axis=1)
+    dzeta, dt = geodesy._twisted_difference(dq, dp)
+    adt = np.abs(dt)
+    near = (dz2 <= r * r) & (np.pi * adt / 2.0 <= r * r)
+    hit = near & (np.sqrt(dz2) + np.sqrt(np.pi * adt) <= r)
+    rest = near & ~hit
+    if np.any(rest):
+        hit[rest] = geodesy._invert_arrays(dzeta[rest], dt[rest])[2] <= r
+    covered = np.zeros(len(queries), dtype=bool)
+    covered[qi[hit]] = True
+    return covered
+
+
+def cluster_case(rng, n, h, r, abs_zeta0, abs_t0, spread, n_pts, n_q):
+    """Points around (zeta0, t0) in a generic direction (round coordinates
+    such as (1e3, 0) hide rounding), and probes of three kinds: copies of
+    points, points moved by about r, and uniform draws over the cluster."""
+    direction = rng.normal(size=2 * n)
+    center = np.append(abs_zeta0 * direction / np.linalg.norm(direction),
+                       abs_t0 * rng.uniform(-1.0, 1.0))
+
+    def local(k, size):
+        g = np.empty((k, 2 * n + 1))
+        g[:, :-1] = rng.uniform(-size, size, (k, 2 * n))
+        g[:, -1] = rng.uniform(-size * size, size * size, k)
+        return g
+
+    points = core.group_mul(center, local(n_pts, spread))
+    picked = points[rng.integers(n_pts, size=n_q)]
+    kind = rng.choice(3, size=n_q, p=[0.3, 0.5, 0.2])
+    queries = np.where((kind == 0)[:, None], picked,
+                       np.where((kind == 1)[:, None],
+                                core.group_mul(picked, local(n_q, 1.2 * r)),
+                                core.group_mul(center, local(n_q, spread))))
+    return queries, points
+
+
+@st.composite
+def probe_cases(draw):
+    """n = 1, 2; r < h, r = h, r > h; |zeta0| up to 1e3 and |t0| up to 1e6.
+    Large cells let the shear term of the search window span cells; cells
+    as small as 1e-10 put the rounding of the sheared keys at the scale of
+    a cell."""
+    n = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([1e-10, 1e-4, 0.05, 0.5, 2.0]))
+    r = h * draw(st.sampled_from([0.6, 1.0, 1.7]))
+    abs_zeta0 = draw(st.sampled_from([0.0, 1.0, 30.0, 1e3]))
+    abs_t0 = draw(st.sampled_from([0.0, 1.0, 1e2, 1e6]))
+    spread = r * draw(st.sampled_from([1.0, 4.0, 20.0]))
+    n_pts = draw(st.integers(1, 40))
+    n_q = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    queries, points = cluster_case(rng, n, h, r, abs_zeta0, abs_t0, spread, n_pts, n_q)
+    return queries, points, r, h
+
+
+class TestProbeSearch:
+    @settings(deadline=None, max_examples=150)
+    @given(probe_cases())
+    def test_matches_all_pairs(self, case):
+        queries, points, r, h = case
+        got = measures._covered_queries(queries, points, r, h)
+        assert np.array_equal(got, brute_covered(queries, points, r))
+
+    @pytest.mark.parametrize("n, h, abs_zeta0, abs_t0", [
+        (1, 2.0, 30.0, 1e2),     # the shear term 2|b|r spans cells
+        (2, 2.0, 30.0, 1e2),
+        (1, 1e-10, 1e3, 1e6),    # rounding of S_p and Q spans cells
+        (2, 1e-10, 1e3, 1e6),
+    ])
+    def test_matches_all_pairs_where_the_window_terms_matter(self, n, h, abs_zeta0, abs_t0):
+        rng = np.random.default_rng(41)
+        r = h
+        queries, points = cluster_case(rng, n, h, r, abs_zeta0, abs_t0, 20.0 * r, 200, 400)
+        got = measures._covered_queries(queries, points, r, h)
+        want = brute_covered(queries, points, r)
+        assert 0.2 < want.mean() < 0.9
+        assert np.array_equal(got, want)
+
+    def test_empty_neighbour_cells_and_far_probes(self):
+        # the first point is (0.5, 0.5, 0.5) * (0.02, 0.01, 0): at distance 0.0224
+        points = np.array([core.group_mul([0.5, 0.5, 0.5], [0.02, 0.01, 0.0]),
+                           [3.0, 3.0, 3.0]])
+        queries = np.array([[0.5, 0.5, 0.5], [1.9, 1.9, 0.0], [3.0, 3.0, 3.0],
+                            [-5.0, 0.0, 0.0], [0.5, 0.5, 9.0]])
+        got = measures._covered_queries(queries, points, 0.05, 0.05)
+        assert got.tolist() == [True, False, True, False, False]
+        assert np.array_equal(got, brute_covered(queries, points, 0.05))
 
 
 class TestRejectionGuard:

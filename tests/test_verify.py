@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,20 @@ class TestVerifyBmi:
         reps = verify_bmi_sweep(UNIT, OFFSET, [0.0, 1.0], N=150, seed=11, r=0.1, h=0.1)
         for rep in reps:
             assert rep.margin == 0.0
+
+    @pytest.mark.parametrize("seed, r, h", [(1, 0.05, 0.05), (2, 0.05, 0.05),
+                                            (3, 0.1, 0.05), (4, 0.05, 0.1)])
+    def test_endpoint_sets_are_the_clouds(self, seed, r, h):
+        # Z_0 = A and Z_1 = B row for row, so their volumes are the very
+        # estimates of vol_A and vol_B and the margins are exactly 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # h > r: under-resolved on purpose
+            reps = verify_bmi_sweep(UNIT, OFFSET, [0.0, 1.0], N=200, seed=seed, r=r, h=h)
+        assert reps[0].extras["vol_Z"] == reps[0].extras["vol_A"]
+        assert reps[1].extras["vol_Z"] == reps[1].extras["vol_B"]
+        for rep in reps:
+            assert rep.margin == 0.0
+            assert rep.extras["skipped_pairs"] == 0
 
     def test_offset_boxes_hold(self):
         rep = verify_bmi(UNIT, OFFSET, 0.5, N=300, seed=12, r=0.1, h=0.1)
