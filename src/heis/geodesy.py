@@ -439,7 +439,10 @@ def _pair_block(xs, ys, want_chi):
     zx, tx = core.to_complex(xs)
     zy, ty = core.to_complex(ys)
     dzeta = zy[None, :, :] - zx[:, None, :]
-    # t part of x^{-1} * y: ty - tx - 2 sum Im(zeta_x conj(zeta_y))
+    # t part of x^{-1} * y: ty - tx - 2 sum Im(zeta_x conj(zeta_y)), as a
+    # GEMM over all pairs.  For n = 1 it has the bits of core._twist; for
+    # n >= 2 the matrix product sums over j in another order, and routing
+    # it through core._twist would move the last bits of n = 2 reports.
     twist = 2.0 * (
         np.ascontiguousarray(zx.imag) @ zy.real.T
         - np.ascontiguousarray(zx.real) @ zy.imag.T

@@ -550,6 +550,7 @@ class VolumeEstimate:
     stderr: float
     cells_occupied: int = 0
     cells_boundary: int = 0
+    points_searched: int = 0  # points left for the r-thickening search
 
     def __iter__(self):  # unpack as (volume, stderr)
         return iter((self.volume, self.stderr))
@@ -579,6 +580,18 @@ def _exact_leq(pts_a, pts_b, r):
     return out
 
 
+def _zeta_offsets(n, r, h, gap):
+    """Integer zeta-cell offsets whose cells can lie within r of the base
+    cell, and that distance: an offset's reach shrinks each component by
+    `gap` cells (0.5 from a cell's center, 1 from anywhere in it)."""
+    m_z = int(np.ceil(r / h)) + 1
+    offsets = np.stack(np.meshgrid(*([np.arange(-m_z, m_z + 1)] * (2 * n)),
+                                   indexing="ij"), axis=-1).reshape(-1, 2 * n)
+    reach = np.sqrt(np.sum((np.maximum(np.abs(offsets) - gap, 0.0) * h) ** 2, axis=1))
+    ok = reach <= r
+    return offsets[ok], reach[ok]
+
+
 def _covered_cells_r(points, r, h, lo, shape):
     """Grid cells whose center is within CC distance r of some point.
 
@@ -592,15 +605,8 @@ def _covered_cells_r(points, r, h, lo, shape):
     tp = points[:, -1]
     base = np.floor(points[:, :-1] / h).astype(np.int64)
     w_t = 2.0 * r * r / np.pi
-    m_z = int(np.ceil(r / h)) + 1
-    offsets = np.stack(np.meshgrid(*([np.arange(-m_z, m_z + 1)] * (2 * n)),
-                                   indexing="ij"), axis=-1).reshape(-1, 2 * n)
-    # an offset is reachable only if some point of the base cell lies within
-    # r of a center displaced by it
-    reach = np.sqrt(np.sum((np.maximum(np.abs(offsets) - 0.5, 0.0) * h) ** 2, axis=1))
-    offsets = offsets[reach <= r]
     found = []
-    for off in offsets:
+    for off in _zeta_offsets(n, r, h, 0.5)[0]:
         czeta = (base + off + 0.5) * h
         dz2 = np.sum((czeta - zr) ** 2, axis=1)
         near = dz2 <= r * r
@@ -675,14 +681,99 @@ def _ranges_concat(starts, counts):
     return rep, starts[rep] + within
 
 
-def _covered_queries(queries, points, r, h):
-    """covered(q) = some point lies within CC distance r of q.
+@dataclass(frozen=True)
+class _ShearedIndex:
+    """A cloud sorted by its sheared key: the zeta-cell of each point p and
+    floor(S_p / h), where S_p is the t of c_p^{-1} p and c_p = (center of
+    p's zeta-cell, t = 0).  The keys of one zeta-cell are contiguous and
+    ordered by k = floor(S_p / h)."""
 
-    Points are binned by zeta-cell and by floor(S_p / h), where S_p is the
-    t of c_p^{-1} p and c_p = (center of p's zeta-cell, t = 0).  For a probe
-    q and a neighbour zeta-cell with center c, b = zeta_q - c and
-    Q = t_q + 2 sum(b_eta xi_q - b_xi eta_q), the twisted t of q^{-1} p is
-    exactly S_p - Q - 2 sum(b_eta dxi - b_xi deta), so every pair with
+    points: np.ndarray
+    h: float
+    z_lo: np.ndarray
+    k_lo: int
+    k_hi: int
+    shape: tuple
+    order: np.ndarray
+    sorted_keys: np.ndarray
+
+
+def _sheared_index(points, h) -> _ShearedIndex:
+    zp = points[:, :-1]
+    cell_p = np.floor(zp / h).astype(np.int64)
+    k_p = np.floor((points[:, -1] - core._twist((cell_p + 0.5) * h, zp)) / h).astype(np.int64)
+    z_lo = cell_p.min(axis=0)
+    k_lo, k_hi = int(k_p.min()), int(k_p.max())
+    shape = tuple((cell_p.max(axis=0) - z_lo + 1).tolist()) + (k_hi - k_lo + 1,)
+    keys = np.ravel_multi_index((*(cell_p - z_lo).T, k_p - k_lo), shape)
+    order = np.argsort(keys)  # no consumer depends on the order of ties
+    return _ShearedIndex(points, h, z_lo, k_lo, k_hi, shape, order, keys[order])
+
+
+def _shell_points(index, occupied, r, lo, shape):
+    """The points of the cloud whose r-reach may hold a grid cell that is
+    not in `occupied` (sorted keys of the cells that hold a point).
+
+    Take a group of points with the same zeta-cell (center c_0) and the same
+    k = floor(S_p / h).  For a zeta-offset `off`, `_covered_cells_r` can
+    mark cells of column c + off whose center t lies in t_p + twist(zeta_p,
+    c_0 + off h) +- 2 r^2 / pi.  By bilinearity that is S_p + T +
+    twist(zeta_p - c_0, off h) with T = twist(c_0, off h), and the last
+    term is at most h^2 sum |off|; so for every point of the group the
+    centers lie in [k h + T - e, (k + 1) h + T + e], e = 2 r^2 / pi +
+    h^2 sum |off| + a rounding margin.  A group whose every such range is
+    fully occupied can add no cell and is dropped.  Ranges are clipped to
+    the grid, whose other cells the search does not report.  Groups of a
+    single point are kept untested: dropping them saves no search.
+    """
+    h = index.h
+    sk = index.sorted_keys
+    n = (index.points.shape[1] - 1) // 2
+    change = np.r_[True, sk[1:] != sk[:-1]]
+    first = np.flatnonzero(change)
+    tested = np.flatnonzero(np.diff(np.r_[first, len(sk)]) > 1)
+    gidx = np.stack(np.unravel_index(sk[first[tested]], index.shape), axis=1)
+    cell = gidx[:, :-1] + index.z_lo
+    k = gidx[:, -1] + index.k_lo
+    c0 = (cell + 0.5) * h
+    margin = 1e-9 * (1.0 + np.abs(k * h) + h
+                     + (np.sqrt(np.sum(c0 * c0, axis=1)) + r + h) ** 2)
+    w_t = 2.0 * r * r / np.pi
+    lo_z, hi_z = lo[:-1], lo[:-1] + np.asarray(shape[:-1])
+    lo_t, hi_t = lo[-1], lo[-1] + shape[-1] - 1
+    interior = np.arange(len(tested))
+    for off in _zeta_offsets(n, r, h, 0.5)[0]:
+        col = cell[interior] + off
+        on_grid = np.all((col >= lo_z) & (col < hi_z), axis=1)
+        T = core._twist(c0[interior[on_grid]], off * h)
+        e = w_t + h * h * np.sum(np.abs(off)) + margin[interior[on_grid]]
+        kg = k[interior[on_grid]]
+        j0 = np.maximum(kg + np.ceil((T - e) / h - 0.5).astype(np.int64), lo_t)
+        j1 = np.minimum(kg + np.floor((T + e) / h + 0.5).astype(np.int64), hi_t)
+        zcol = tuple((col[on_grid] - lo_z).T)
+        c_lo = np.searchsorted(occupied, np.ravel_multi_index((*zcol, j0 - lo_t), shape,
+                                                              mode="clip"), side="left")
+        c_hi = np.searchsorted(occupied, np.ravel_multi_index((*zcol, j1 - lo_t), shape,
+                                                              mode="clip"), side="right")
+        full = np.ones(len(interior), dtype=bool)
+        full[on_grid] = (j0 > j1) | (c_hi - c_lo == j1 - j0 + 1)
+        interior = interior[full]
+        if len(interior) == 0:
+            break
+    dropped = np.zeros(len(first), dtype=bool)
+    dropped[tested[interior]] = True
+    keep = np.ones(len(sk), dtype=bool)
+    keep[index.order[dropped[np.cumsum(change) - 1]]] = False
+    return index.points[keep]
+
+
+def _covered_queries(queries, index, r):
+    """covered(q) = some point of the indexed cloud lies within CC distance
+    r of q.
+
+    For a probe q and a neighbour zeta-cell with center c, b = zeta_q - c
+    and Q = t_q + 2 sum(b_eta xi_q - b_xi eta_q), the twisted t of q^{-1} p
+    is exactly S_p - Q - 2 sum(b_eta dxi - b_xi deta), so every pair with
     |dzeta| <= r and pi |dt| / 2 <= r^2 has |S_p - Q| <= 2 r^2 / pi + 2 |b| r;
     a neighbour cell farther than r from zeta_q is not searched.  Rounding
     margins on both bounds make the candidates a superset of the pairs that
@@ -691,15 +782,8 @@ def _covered_queries(queries, points, r, h):
     d = queries.shape[1]
     n = (d - 1) // 2
     covered = np.zeros(len(queries), dtype=bool)
-    zp = points[:, :-1]
-    cell_p = np.floor(zp / h).astype(np.int64)
-    k_p = np.floor((points[:, -1] - core._twist((cell_p + 0.5) * h, zp)) / h).astype(np.int64)
-    z_lo = cell_p.min(axis=0)
-    k_lo, k_hi = k_p.min(), k_p.max()
-    shape = tuple((cell_p.max(axis=0) - z_lo + 1).tolist()) + (int(k_hi - k_lo + 1),)
-    keys = np.ravel_multi_index((*(cell_p - z_lo).T, k_p - k_lo), shape)
-    order = np.argsort(keys)  # covered(q) does not depend on the order of ties
-    sorted_keys = keys[order]
+    points, h, order, sorted_keys = index.points, index.h, index.order, index.sorted_keys
+    z_lo, k_lo, k_hi, shape = index.z_lo, index.k_lo, index.k_hi, index.shape
 
     zq = queries[:, :-1]
     tq = queries[:, -1]
@@ -707,12 +791,8 @@ def _covered_queries(queries, points, r, h):
     zq_abs = np.sqrt(np.sum(zq ** 2, axis=1))
     w_t = 2.0 * r * r / np.pi
     margin = 1e-9 * (1.0 + np.abs(tq) + (zq_abs + r + h) ** 2)
-    m_z = int(np.ceil(r / h)) + 1
-    offsets = np.stack(np.meshgrid(*([np.arange(-m_z, m_z + 1)] * (2 * n)),
-                                   indexing="ij"), axis=-1).reshape(-1, 2 * n)
-    reach = np.sqrt(np.sum((np.maximum(np.abs(offsets) - 1.0, 0.0) * h) ** 2, axis=1))
+    offsets, reach = _zeta_offsets(n, r, h, 1.0)
     offsets = offsets[np.argsort(reach, kind="stable")]
-    offsets = offsets[np.sort(reach) <= r]
     z_hi = z_lo + np.asarray(shape[:-1])
     slack = 1e-9 * (1.0 + zq_abs + r + h)
     for off in offsets:
@@ -799,9 +879,13 @@ def estimate_volume(points, r: float, h: float, bound: Region,
 
     idx = _cell_index(points, h)
     base_keys = np.unique(_encode(idx, lo, shape))
+    searched = 0
     if r > 0:
-        near_keys = _covered_cells_r(points, r, h, lo, shape)
-        keys = np.union1d(base_keys, near_keys)
+        # one sheared index serves the prune and the boundary probes
+        index = _sheared_index(points, h)
+        shell = _shell_points(index, base_keys, r, lo, shape)
+        searched = len(shell)
+        keys = np.union1d(base_keys, _covered_cells_r(shell, r, h, lo, shape))
     else:
         keys = base_keys
 
@@ -827,9 +911,9 @@ def estimate_volume(points, r: float, h: float, bound: Region,
         scale = n_bnd / len(bidx)
         q = (np.repeat(cells_idx[bidx], mc_per_cell, axis=0)
              + rng.random((len(bidx) * mc_per_cell, d))) * h
-        cov = _covered_queries(q, points, r, h)
+        cov = _covered_queries(q, index, r)
         f = cov.reshape(len(bidx), mc_per_cell).mean(axis=1)
         stderr = float(np.sqrt(np.sum(f * (1.0 - f)) * scale) * h ** d)
 
-    return VolumeEstimate(float(volume), float(stderr),
-                          cells_occupied=len(keys), cells_boundary=n_bnd)
+    return VolumeEstimate(float(volume), float(stderr), cells_occupied=len(keys),
+                          cells_boundary=n_bnd, points_searched=searched)

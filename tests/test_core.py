@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis import core
 from heis.core import HPoint, dilate, group_inv, group_mul, left_translate, origin
@@ -160,3 +162,55 @@ class TestHPoint:
         p = HPoint.of(1.0, 2.0, 3.0, 4.0, 5.0)
         zeta, t = core.to_complex(p.coords)
         assert np.array_equal(core.from_complex(zeta, t), p.coords)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def point_tuples(draw, k):
+    """k points of H^n, n = 1..3, with coordinates over many scales."""
+    n = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    coords = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * (2 * n + 1),
+                           max_size=k * (2 * n + 1)))
+    pts = np.array(coords).reshape(k, 2 * n + 1) * scale
+    pts[:, -1] *= scale  # t scales like zeta^2
+    return pts
+
+
+def size_of(*pts):
+    """Per-coordinate size of a product of the points: sum |zeta| on the
+    zeta axes, and sum |t| + (sum |zeta|)^2 on t, the size of the twist."""
+    pts = np.array(pts)
+    z = np.sum(np.abs(pts[:, :-1]))
+    out = np.full(pts.shape[1], z)
+    out[-1] = np.sum(np.abs(pts[:, -1])) + z * z
+    return out
+
+
+class TestGroupAxiomProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(point_tuples(3))
+    def test_associativity(self, pts):
+        x, y, z = pts
+        lhs = group_mul(group_mul(x, y), z)
+        rhs = group_mul(x, group_mul(y, z))
+        assert np.all(np.abs(lhs - rhs) <= 16 * EPS * size_of(x, y, z))
+
+    @settings(deadline=None, max_examples=200)
+    @given(point_tuples(1))
+    def test_inverse(self, pts):
+        x = pts[0]
+        # exact: the twist of zeta with -zeta cancels product for product
+        assert np.all(group_mul(x, group_inv(x)) == 0.0)
+        assert np.all(group_mul(group_inv(x), x) == 0.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(point_tuples(2), st.floats(1e-3, 1e3))
+    def test_dilation_is_a_homomorphism(self, pts, lam):
+        x, y = pts
+        lhs = dilate(lam, group_mul(x, y))
+        rhs = group_mul(dilate(lam, x), dilate(lam, y))
+        size = size_of(x, y) * np.r_[np.full(len(x) - 1, lam), lam * lam]
+        assert np.all(np.abs(lhs - rhs) <= 16 * EPS * size)

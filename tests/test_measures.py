@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heis import core, geodesy, measures
+from heis import core, geodesy, measures, verify
 from heis.measures import (
     BoxRegion,
     CCBallRegion,
@@ -348,27 +348,30 @@ def brute_covered(queries, points, r):
     return covered
 
 
-def cluster_case(rng, n, h, r, abs_zeta0, abs_t0, spread, n_pts, n_q):
+def cluster_case(rng, n, h, r, abs_zeta0, abs_t0, spread, n_pts, n_q, t_spread=None):
     """Points around (zeta0, t0) in a generic direction (round coordinates
     such as (1e3, 0) hide rounding), and probes of three kinds: copies of
-    points, points moved by about r, and uniform draws over the cluster."""
+    points, points moved by about r, and uniform draws over the cluster.
+    The cluster is (zeta0, t0) times a box of half-widths `spread` in zeta
+    and `t_spread` (default spread^2) in t."""
     direction = rng.normal(size=2 * n)
     center = np.append(abs_zeta0 * direction / np.linalg.norm(direction),
                        abs_t0 * rng.uniform(-1.0, 1.0))
 
-    def local(k, size):
+    def local(k, size, t_size=None):
+        t_size = size * size if t_size is None else t_size
         g = np.empty((k, 2 * n + 1))
         g[:, :-1] = rng.uniform(-size, size, (k, 2 * n))
-        g[:, -1] = rng.uniform(-size * size, size * size, k)
+        g[:, -1] = rng.uniform(-t_size, t_size, k)
         return g
 
-    points = core.group_mul(center, local(n_pts, spread))
+    points = core.group_mul(center, local(n_pts, spread, t_spread))
     picked = points[rng.integers(n_pts, size=n_q)]
     kind = rng.choice(3, size=n_q, p=[0.3, 0.5, 0.2])
     queries = np.where((kind == 0)[:, None], picked,
                        np.where((kind == 1)[:, None],
                                 core.group_mul(picked, local(n_q, 1.2 * r)),
-                                core.group_mul(center, local(n_q, spread))))
+                                core.group_mul(center, local(n_q, spread, t_spread))))
     return queries, points
 
 
@@ -396,7 +399,7 @@ class TestProbeSearch:
     @given(probe_cases())
     def test_matches_all_pairs(self, case):
         queries, points, r, h = case
-        got = measures._covered_queries(queries, points, r, h)
+        got = measures._covered_queries(queries, measures._sheared_index(points, h), r)
         assert np.array_equal(got, brute_covered(queries, points, r))
 
     @pytest.mark.parametrize("n, h, abs_zeta0, abs_t0", [
@@ -409,7 +412,7 @@ class TestProbeSearch:
         rng = np.random.default_rng(41)
         r = h
         queries, points = cluster_case(rng, n, h, r, abs_zeta0, abs_t0, 20.0 * r, 200, 400)
-        got = measures._covered_queries(queries, points, r, h)
+        got = measures._covered_queries(queries, measures._sheared_index(points, h), r)
         want = brute_covered(queries, points, r)
         assert 0.2 < want.mean() < 0.9
         assert np.array_equal(got, want)
@@ -420,7 +423,7 @@ class TestProbeSearch:
                            [3.0, 3.0, 3.0]])
         queries = np.array([[0.5, 0.5, 0.5], [1.9, 1.9, 0.0], [3.0, 3.0, 3.0],
                             [-5.0, 0.0, 0.0], [0.5, 0.5, 9.0]])
-        got = measures._covered_queries(queries, points, 0.05, 0.05)
+        got = measures._covered_queries(queries, measures._sheared_index(points, 0.05), 0.05)
         assert got.tolist() == [True, False, True, False, False]
         assert np.array_equal(got, brute_covered(queries, points, 0.05))
 
@@ -438,3 +441,145 @@ class TestRejectionGuard:
         ball = CCBallRegion(np.array([1e7, 0.0, 0.0]), 1.0)
         with pytest.raises(ValueError, match="positive volume"):
             sample_uniform(ball, 100, seed=0)
+
+
+def cloud_grid(points, h, pad):
+    """lo and shape of an origin-anchored grid over the cloud's box widened
+    by `pad` per axis, laid out as `estimate_volume` lays out its bound."""
+    lo = np.floor((points.min(axis=0) - pad) / h).astype(np.int64) - 1
+    hi = np.floor((points.max(axis=0) + pad) / h).astype(np.int64) + 2
+    return lo, tuple((hi - lo).tolist())
+
+
+def occupied_cells(points, r, h, lo, shape, prune=True):
+    """The occupied set of `estimate_volume` before the bound filter, with
+    the r-thickening search run on the pruned cloud (or on every point),
+    and the points searched."""
+    base = np.unique(measures._encode(measures._cell_index(points, h), lo, shape))
+    if prune:
+        points = measures._shell_points(measures._sheared_index(points, h), base, r, lo, shape)
+    return np.union1d(base, measures._covered_cells_r(points, r, h, lo, shape)), points
+
+
+def dense_case(rng, n, h, r, abs_zeta0, abs_t0, cells, per_cell):
+    """A `cluster_case` cloud `cells` = (zeta, t) cells wide per axis, with
+    about `per_cell` points per cell, so that most sheared groups away from
+    the cloud's edge are interior.  Density per cell is what the prune
+    sees: at r ~ h < 1 a CC ball (volume ~ 3.3 r^4 in H^1) is much thinner
+    in t than a cell."""
+    m_z, m_t = cells
+    n_pts = int(per_cell * m_z ** (2 * n) * m_t)
+    _, points = cluster_case(rng, n, h, r, abs_zeta0, abs_t0, m_z * h / 2, n_pts, 1,
+                             t_spread=m_t * h / 2)
+    return points
+
+
+@st.composite
+def dense_cases(draw):
+    """n = 1, 2; r/h in {0.6, 1, 1.7}; |zeta0| up to 1e3 and |t0| up to 1e6.
+    Cells of edge 2 let the twist across a cell, up to h^2 sum |off|, span
+    cells; cells of 1e-9 and 1e-10 put the rounding of the sheared keys at
+    the scale of a cell.  A grid without padding clips the prune's ranges.
+    Where 2 |zeta0|, the t-shear across one column in cells, exceeds the
+    cloud's t-width in cells, a column's points spread over more cells
+    than they fill and nothing is pruned; those cases check that the
+    prune stays out of the way."""
+    n = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([1e-10, 1e-9, 1e-4, 0.05, 0.5, 2.0]))
+    r = h * draw(st.sampled_from([0.6, 1.0, 1.7]))
+    abs_zeta0 = draw(st.sampled_from([0.0, 1.0, 30.0, 1e3]))
+    abs_t0 = draw(st.sampled_from([0.0, 1.0, 1e2, 1e6]))
+    cells, per_cell = draw(st.sampled_from([((10, 8), 5), ((8, 40), 4)] if n == 1
+                                           else [((5, 4), 6)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = dense_case(rng, n, h, r, abs_zeta0, abs_t0, cells, per_cell)
+    if draw(st.booleans()):
+        pad = np.zeros(2 * n + 1)
+    else:
+        pad = np.abs(verify._cloud_bound(points, r, h).intervals[:, 1] - points.max(axis=0))
+    return points, r, h, pad
+
+
+class TestShellPrune:
+    @settings(deadline=None, max_examples=50)
+    @given(dense_cases())
+    def test_pruned_search_gives_the_same_cells(self, case):
+        points, r, h, pad = case
+        lo, shape = cloud_grid(points, h, pad)
+        got, _ = occupied_cells(points, r, h, lo, shape)
+        want, _ = occupied_cells(points, r, h, lo, shape, prune=False)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, h, ratio, abs_zeta0, abs_t0, cells, per_cell, acts", [
+        # the twist across a cell, h^2 sum |off|, is half a cell to several cells
+        (1, 0.5, 1.0, 0.0, 0.0, (8, 40), 4, True),
+        (1, 2.0, 0.6, 0.0, 0.0, (8, 40), 4, True),
+        (2, 0.05, 0.6, 0.0, 0.0, (5, 4), 6, True),
+        # the rounding of t near 1e6 is a tenth of a cell: the margin keeps
+        # every group (without it, three cells are lost here)
+        (1, 1e-9, 1.0, 30.0, 1e6, (8, 40), 4, False),
+    ])
+    def test_pruned_search_where_the_range_terms_matter(self, n, h, ratio, abs_zeta0, abs_t0,
+                                                        cells, per_cell, acts):
+        rng = np.random.default_rng(43)
+        r = ratio * h
+        points = dense_case(rng, n, h, r, abs_zeta0, abs_t0, cells, per_cell)
+        lo, shape = cloud_grid(points, h, np.zeros(2 * n + 1))
+        got, searched = occupied_cells(points, r, h, lo, shape)
+        want, _ = occupied_cells(points, r, h, lo, shape, prune=False)
+        assert np.array_equal(got, want)
+        assert (len(searched) < len(points)) == acts
+
+    def test_prune_drops_most_of_a_dense_cloud(self):
+        # about 6 points per cell; the shear 2 |zeta| r stays below two cells
+        box = BoxRegion(np.array([[-0.5, 0.5], [-0.5, 0.5], [0.0, 1.0]]))
+        pts = sample_uniform(box, 40_000, seed=31)
+        r = h = 0.05
+        est = estimate_volume(pts, r, h, verify._cloud_bound(pts, r, h))
+        assert 0 < est.points_searched < len(pts) / 2
+        lo, shape = cloud_grid(pts, h, np.full(3, 0.5))
+        got, searched = occupied_cells(pts, r, h, lo, shape)
+        assert len(searched) == est.points_searched
+        want, _ = occupied_cells(pts, r, h, lo, shape, prune=False)
+        assert np.array_equal(got, want)
+
+    def test_sparse_and_r_zero_counts(self):
+        pts = np.array([[0.5, 0.5, 0.5], [0.52, 0.5, 0.5], [1.5, 1.5, 1.5]])
+        bound = BoxRegion(np.array([[-1.0, 3.0]] * 3))
+        assert estimate_volume(pts, 0.05, 0.05, bound).points_searched == 3
+        assert estimate_volume(pts, 0.0, 0.05, bound).points_searched == 0
+
+
+@st.composite
+def thickened_clouds(draw):
+    """Dense clouds in H^1 and H^2 on which the prune acts, with r > 0."""
+    n = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([0.05, 0.1]))
+    abs_zeta0 = draw(st.sampled_from([0.0, 1.0]))
+    ratio = draw(st.sampled_from([0.6, 1.0, 1.7]) if n == 1 else st.just(0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells, per_cell = ((10, 8), 5) if n == 1 else ((5, 4), 6)
+    points = dense_case(rng, n, h, ratio * h, abs_zeta0, 0.0, cells, per_cell)
+    return points, ratio * h, h
+
+
+class TestVolumeMonotone:
+    @settings(deadline=None, max_examples=30)
+    @given(thickened_clouds())
+    def test_monotone_in_r(self, case):
+        points, r, h = case
+        bound = verify._cloud_bound(points, 1.5 * r, h)
+        vols = [estimate_volume(points, rr, h, bound).volume for rr in (0.0, r, 1.5 * r)]
+        assert vols == sorted(vols)
+
+    @settings(deadline=None, max_examples=30)
+    @given(thickened_clouds(), st.floats(0.1, 0.9))
+    def test_adding_points_adds_cells(self, case, frac):
+        points, r, h = case
+        part = points[: max(1, int(frac * len(points)))]
+        bound = verify._cloud_bound(points, r, h)
+        lo, shape = cloud_grid(points, h, bound.intervals[:, 1] - points.max(axis=0))
+        small, _ = occupied_cells(part, r, h, lo, shape)
+        large, _ = occupied_cells(points, r, h, lo, shape)
+        assert np.all(np.isin(small, large))
+        assert estimate_volume(part, r, h, bound).volume <= estimate_volume(points, r, h, bound).volume
