@@ -27,6 +27,12 @@ TWO_PI = 2.0 * np.pi
 # series x^3/3 (1 - x^2/10 + x^4/280 - x^6/15120 + x^8/1330560) below 0.25,
 # where both forms agree to ~1e-15 relative.
 _F_SERIES_CUT = 0.25
+_TINY_A = 1e-100
+
+
+def _f_series(x2):
+    """3 F(x) / x^3 as a polynomial in x2 = x^2, for |x| < _F_SERIES_CUT."""
+    return 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 ** 3 / 15120.0 + x2 ** 4 / 1330560.0
 
 
 def _f_sin_minus_xcos(x):
@@ -34,12 +40,17 @@ def _f_sin_minus_xcos(x):
     small = np.abs(x) < _F_SERIES_CUT
     xs = np.where(small, x, 0.0)
     x2 = xs * xs
-    series = xs * x2 / 3.0 * (
-        1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 ** 3 / 15120.0 + x2 ** 4 / 1330560.0
-    )
+    series = xs * x2 / 3.0 * _f_series(x2)
     xb = np.where(small, 1.0, x)
     direct = np.sin(xb) - xb * np.cos(xb)
     return np.where(small, series, direct)
+
+
+def _f_over_cube(x):
+    """3 F(x) / x^3 for x >= 0; 1 at x = 0, and no underflow near it."""
+    small = x < _F_SERIES_CUT
+    xb = np.where(small, 1.0, x)
+    return np.where(small, _f_series(x * x), 3.0 * _f_sin_minus_xcos(xb) / xb ** 3)
 
 
 def _check_ranges(n, s, theta):
@@ -66,18 +77,27 @@ def tau(n: int, s, theta):
     e = 2 * n + 1
     out = np.empty(s.shape, dtype=float)
 
+    a = theta * s / 2.0
     at_top = theta >= TWO_PI
-    at_zero = (theta == 0.0) & ~at_top
-    mid = ~(at_top | at_zero)
+    # below a = _TINY_A, theta = 0 included, tau takes its s -> 0 form
+    # s^{(2n+3)/(2n+1)} K(theta/2), exact to a relative O(a^2); the general
+    # form loses F(a) ~ a^3 / 3 to underflow there (0 or NaN for s or
+    # theta below about 1e-100)
+    tiny = (a < _TINY_A) & ~at_top
+    mid = ~(at_top | tiny)
 
     out[at_top] = np.inf
-    out[at_zero] = s[at_zero] ** ((2 * n + 3.0) / e)
+
+    if np.any(tiny):
+        b = theta[tiny] / 2.0
+        k = (np.sinc(b / np.pi) ** (-(2 * n - 1.0) / e)
+             * _f_over_cube(b) ** (-1.0 / e))
+        out[tiny] = s[tiny] ** ((2 * n + 3.0) / e) * k
 
     if np.any(mid):
         sm = s[mid]
-        th = theta[mid]
-        a = th * sm / 2.0
-        b = th / 2.0
+        a = a[mid]
+        b = theta[mid] / 2.0
         r1 = np.sin(a) / np.sin(b)
         r2 = _f_sin_minus_xcos(a) / _f_sin_minus_xcos(b)
         out[mid] = sm ** (1.0 / e) * r1 ** ((2 * n - 1.0) / e) * r2 ** (1.0 / e)
@@ -93,27 +113,38 @@ def tau_tilde(n: int, s, theta):
     return tau(n, s, theta) / s_arr if s_arr.ndim else tau(n, s, theta) / float(s_arr)
 
 
-def p_mean(p: float, s: float, a: float, b: float) -> float:
-    """The p-mean M_s^p(a, b) for a, b >= 0.
+def p_mean(p: float, s: float, a, b):
+    """The p-mean M_s^p(a, b) for a, b >= 0, elementwise over arrays.
 
         M_s^p(a, b) = ((1-s) a^p + s b^p)^{1/p}   if a*b != 0, else 0,
 
     with the limits p = 0 (geometric mean), +inf (max), -inf (min).
+    Scalar a and b give a Python float; arrays broadcast.
     """
-    if a < 0 or b < 0:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a < 0) or np.any(b < 0):
         raise ValueError("p_mean arguments must be nonnegative")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
-    if a == 0.0 or b == 0.0:
-        return 0.0
+    live = (a != 0.0) & (b != 0.0)
+    # 1 in place of a zero argument keeps a^p finite for p < 0
+    a = np.where(live, a, 1.0)
+    b = np.where(live, b, 1.0)
+    # float_power is the C library's pow, like Python float arithmetic;
+    # numpy's vectorised ** can differ from it in the last bit
+    pw = np.float_power
     if s == 0.0:
-        return float(a)
-    if s == 1.0:
-        return float(b)
-    if p == 0.0:
-        return float(a ** (1.0 - s) * b ** s)
-    if np.isposinf(p):
-        return float(max(a, b))
-    if np.isneginf(p):
-        return float(min(a, b))
-    return float(((1.0 - s) * a ** p + s * b ** p) ** (1.0 / p))
+        m = a
+    elif s == 1.0:
+        m = b
+    elif p == 0.0:
+        m = pw(a, 1.0 - s) * pw(b, s)
+    elif np.isposinf(p):
+        m = np.maximum(a, b)
+    elif np.isneginf(p):
+        m = np.minimum(a, b)
+    else:
+        m = pw((1.0 - s) * pw(a, p) + s * pw(b, p), 1.0 / p)
+    out = np.where(live, m, 0.0)
+    return float(out) if out.ndim == 0 else out

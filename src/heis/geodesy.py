@@ -348,12 +348,6 @@ def gamma_inverse(y) -> InversionResult:
     return InversionResult(params=[p], unique=bool(unique[0]), distance=float(dist[0]))
 
 
-def cc_distance(x, y) -> float:
-    """Carnot-Caratheodory distance, via left invariance."""
-    x, y = core.check_same_dim(x, y)
-    return float(gamma_inverse(core.group_mul(core.group_inv(x), y)).distance)
-
-
 def _twisted_difference(xs, ys):
     """(zeta, t) of x_k^{-1} * y_k for matched clouds: zeta_y - zeta_x and
     t_y - t_x - 2 sum Im(zeta_x conj(zeta_y)), the latter from real parts so
@@ -372,16 +366,41 @@ def paired_invert(xs, ys):
     return theta, dist, unique
 
 
+def _along(s, xs, chi, theta):
+    """x_k * Gamma_s(chi_k, theta_k) as coordinates (k, 2n+1)."""
+    return core.group_mul(xs, core.from_complex(*_gamma_arrays(s, chi, theta)))
+
+
+def _paired_midpoints(s, xs, ys):
+    """Z_s(x_k, y_k) = x_k * Gamma_s(Gamma_1^{-1}(x_k^{-1} y_k)) for matched
+    clouds (k, 2n+1), with the inversion's theta and unique flags.  Rows
+    with unique False hold the midpoint along the canonical center
+    representative, which is not a selection: callers drop them."""
+    chi, theta, _, unique = _invert_arrays(*_twisted_difference(xs, ys), want_chi=True)
+    return _along(s, xs, chi, theta), theta, unique
+
+
 def cc_distance_many(xs, ys) -> np.ndarray:
     """d(x_k, y_k) for matched point clouds."""
     return paired_invert(xs, ys)[1]
 
 
+def _one_pair(x, y):
+    """Single points x, y as the one-row clouds of the paired kernel."""
+    x, y = core.check_same_dim(x, y)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite input point")
+    return x[None], y[None]
+
+
+def cc_distance(x, y) -> float:
+    """Carnot-Caratheodory distance, via left invariance."""
+    return float(paired_invert(*_one_pair(x, y))[1][0])
+
+
 def angle(x, y) -> float:
     """|theta| of Gamma_1^{-1}(x^{-1} * y); 0 when x == y; symmetric."""
-    x, y = core.check_same_dim(x, y)
-    d = core.group_mul(core.group_inv(x), y)
-    return float(abs(gamma_inverse(d).params[0].theta))
+    return float(abs(paired_invert(*_one_pair(x, y))[0][0]))
 
 
 def midpoint(s: float, x, y) -> np.ndarray:
@@ -392,13 +411,12 @@ def midpoint(s: float, x, y) -> np.ndarray:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
-    x, y = core.check_same_dim(x, y)
-    inv = gamma_inverse(core.group_mul(core.group_inv(x), y))
-    if not inv.unique:
+    z, _, unique = _paired_midpoints(s, *_one_pair(x, y))
+    if not unique[0]:
         raise NonUniqueGeodesic(
             "x^{-1} * y lies on the center: the s-intermediate point is not unique"
         )
-    return core.group_mul(x, gamma(s, inv.params[0]))
+    return z[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +446,8 @@ class PairTable:
             raise ValueError("pair table was built without chi / endpoints")
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s must be in [0, 1], got {s}")
-        mask = self.unique
-        ii, jj = np.nonzero(mask)
-        zeta, t = _gamma_arrays(s, self.chi[ii, jj], self.theta[ii, jj])
-        g = core.from_complex(zeta, t)
-        return core.group_mul(self.xs[ii], g)
+        ii, jj = np.nonzero(self.unique)
+        return _along(s, self.xs[ii], self.chi[ii, jj], self.theta[ii, jj])
 
 
 def _pair_block(xs, ys, want_chi):

@@ -666,8 +666,17 @@ def _boundary_mask(cells_idx, occupied_keys, lo, shape):
             keys = np.full(len(nb), -1, dtype=np.int64)
             if np.any(ok):
                 keys[ok] = _encode(nb[ok], lo, shape)
-            boundary |= ~ok | ~np.isin(keys, occupied_keys)
+            boundary |= ~ok | ~_in_sorted(keys, occupied_keys)
     return boundary
+
+
+def _in_sorted(keys, sorted_keys):
+    """np.isin(keys, sorted_keys) for sorted, unique sorted_keys, in one
+    binary search per key."""
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < len(sorted_keys)
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return hit
 
 
 def _ranges_concat(starts, counts):

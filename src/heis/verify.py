@@ -484,43 +484,40 @@ def verify_bbl(f: GridFunction, g: GridFunction, h_fn: GridFunction,
         raise ValueError("verify_bbl needs s strictly inside (0, 1)")
     if p < -1.0 / d:
         raise ValueError(f"p must be >= -1/(2n+1) = {-1.0 / d:g}")
+    if pairing not in ("independent", "diagonal"):
+        raise ValueError(f"unknown pairing {pairing!r}")
 
     if np.all(f.values == 0.0) or np.all(g.values == 0.0):
         n_samples = 0  # every pointwise bound is M(0, .) = 0: vacuous
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if n_samples > 0:
         xs = f.support_points(n_samples, rng)
-        if pairing == "independent":
-            ys = g.support_points(n_samples, rng)
-        elif pairing == "diagonal":
-            ys = xs.copy()
-        else:
-            raise ValueError(f"unknown pairing {pairing!r}")
+        ys = g.support_points(n_samples, rng) if pairing == "independent" else xs.copy()
     else:
         xs = ys = np.empty((0, f.box.intervals.shape[0]))
 
-    fx = f.value_at(xs) if n_samples else np.empty(0)
-    gy = g.value_at(ys) if n_samples else np.empty(0)
-    slack = 1e-9
-    for k in range(n_samples):
-        if fx[k] == 0.0 and gy[k] == 0.0:
-            continue
-        th = geodesy.angle(xs[k], ys[k])
-        if th >= TWO_PI:
-            continue  # non-unique midpoint; the coefficient is infinite anyway
-        z = geodesy.midpoint(s, xs[k], ys[k])
-        ta = tau_tilde(n, 1.0 - s, th)
-        tb = tau_tilde(n, s, th)
-        arg_a = fx[k] / ta ** d if np.isfinite(ta) else 0.0
-        arg_b = gy[k] / tb ** d if np.isfinite(tb) else 0.0
-        bound = p_mean(p, s, arg_a, arg_b)
-        hz = float(h_fn.value_at(z[None, :])[0])
-        if hz < bound - slack:
-            raise HypothesisViolated(
-                f"h(z) = {hz:g} < required {bound:g} at sampled triple",
-                witness={"x": xs[k].tolist(), "y": ys[k].tolist(),
-                         "z": z.tolist(), "h_z": hz, "bound": bound},
-            )
+    fx = f.value_at(xs)
+    gy = g.value_at(ys)
+    z, theta, _ = geodesy._paired_midpoints(s, xs, ys)
+    th = np.abs(theta)
+    # skip f(x) = g(y) = 0, and theta = 2pi: a non-unique midpoint, where
+    # the coefficient is infinite anyway
+    live = np.nonzero(((fx != 0.0) | (gy != 0.0)) & (th < TWO_PI))[0]
+    th = th[live]
+    # tau~ < inf for theta < 2pi; float_power, as in p_mean, is the C
+    # library's pow, which numpy's vectorised ** can miss by a bit
+    bound = p_mean(p, s, fx[live] / np.float_power(tau_tilde(n, 1.0 - s, th), d),
+                   gy[live] / np.float_power(tau_tilde(n, s, th), d))
+    hz = h_fn.value_at(z[live])
+    bad = np.nonzero(hz < bound - 1e-9)[0]
+    if len(bad):
+        i = bad[0]  # the first failing triple in sample order
+        k = live[i]
+        raise HypothesisViolated(
+            f"h(z) = {hz[i]:g} < required {bound[i]:g} at sampled triple",
+            witness={"x": xs[k].tolist(), "y": ys[k].tolist(), "z": z[k].tolist(),
+                     "h_z": float(hz[i]), "bound": float(bound[i])},
+        )
 
     If = f.integral()
     Ig = g.integral()

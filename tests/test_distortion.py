@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis.distortion import TWO_PI, p_mean, tau, tau_tilde
+
+EPS = np.finfo(float).eps
+
+
+def rounding_tol(s):
+    """Relative rounding error allowed in tau^n_s: a few ulp per factor,
+    plus eps |ln s| from the rounded exponents (2n-1)/(2n+1), 1/(2n+1)
+    applied to factors of size s and s^3 (at s = 0 both sides are 0)."""
+    return 32.0 * EPS * (1.0 + abs(np.log(max(s, np.finfo(float).tiny))))
 
 
 class TestTau:
@@ -76,6 +87,38 @@ class TestTau:
         assert np.isposinf(vals[2])
 
 
+class TestTauProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 3), st.floats(0.0, 1.0),
+           st.floats(0.0, TWO_PI, exclude_max=True),
+           st.floats(0.0, TWO_PI, exclude_max=True))
+    def test_nondecreasing_in_theta(self, n, s, th1, th2):
+        lo, hi = sorted((th1, th2))
+        t_lo, t_hi = tau(n, s, lo), tau(n, s, hi)
+        assert t_hi >= t_lo * (1.0 - rounding_tol(s)), (t_lo, t_hi)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 3), st.floats(0.0, 1.0),
+           st.floats(0.0, TWO_PI, exclude_max=True))
+    def test_at_least_the_theta_zero_floor(self, n, s, theta):
+        floor = s ** ((2 * n + 3.0) / (2 * n + 1.0))
+        assert tau(n, s, theta) >= floor * (1.0 - rounding_tol(s))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_where_f_of_theta_s_underflows(self, n):
+        # F(theta s / 2) ~ (theta s / 2)^3 / 3 underflows below theta s ~ 1e-100;
+        # tau is then its s -> 0 form s^{(2n+3)/(2n+1)} K(theta), not 0 or NaN
+        e = 2 * n + 1
+        for s, theta in ((0.5, 5e-324), (1e-170, 1e-170), (1e-90, 1e-12)):
+            floor = s ** ((2 * n + 3.0) / e)
+            assert tau(n, s, theta) == pytest.approx(floor, rel=rounding_tol(s))
+        for theta in (3.0, 4.5):
+            k = tau(n, 1e-9, theta) / 1e-9 ** ((2 * n + 3.0) / e)
+            for s in (1e-99, 1e-101, 1e-150):
+                got = tau(n, s, theta) / s ** ((2 * n + 3.0) / e)
+                assert got == pytest.approx(k, rel=1e-12)
+
+
 class TestTauTilde:
     def test_normalization_identity(self):
         assert tau_tilde(1, 0.125, 0.0) == pytest.approx(0.25, abs=1e-15)
@@ -133,3 +176,49 @@ class TestPMean:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             p_mean(1.0, 0.5, -1.0, 2.0)
+
+
+nonneg = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(0.0, 10.0))
+
+
+class TestPMeanArrays:
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([-np.inf, -1.0 / 3.0, -0.2, 0.0, 1.0 / 3.0, 1.0, 2.0, np.inf])
+           | st.floats(-4.0, 4.0),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.lists(st.tuples(nonneg, nonneg), min_size=1, max_size=8))
+    def test_array_equals_scalar_elementwise(self, p, s, pairs):
+        a = np.array([x for x, _ in pairs])
+        b = np.array([y for _, y in pairs])
+        with np.errstate(all="ignore"):  # both sides overflow alike
+            got = p_mean(p, s, a, b)
+            want = [p_mean(p, s, x, y) for x, y in pairs]
+        assert isinstance(got, np.ndarray) and got.shape == a.shape
+        assert got.tolist() == want
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([-1.0 / 3.0, 0.0, 0.5]) | st.floats(-4.0, 4.0),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    def test_scalar_is_c_library_pow(self, p, s, a, b):
+        # the report bits of verify_bbl's rhs rest on this; numpy scalars
+        # take the C library's pow as Python floats do, but give inf, not
+        # OverflowError, when 1/p is huge
+        a, b = np.float64(a), np.float64(b)
+        with np.errstate(over="ignore"):
+            want = a ** (1.0 - s) * b ** s if p == 0.0 else ((1.0 - s) * a ** p + s * b ** p) ** (1.0 / p)
+            assert p_mean(p, s, a, b) == want
+
+    def test_broadcasts(self):
+        got = p_mean(1.0, 0.25, np.array([0.0, 2.0, 4.0]), 6.0)
+        assert got.tolist() == [0.0, 0.75 * 2 + 0.25 * 6, 0.75 * 4 + 0.25 * 6]
+
+    def test_scalar_inputs_return_python_float(self):
+        for a, b in ((2.0, 3.0), (np.float64(2.0), 3), (np.array(2.0), np.array(3.0)),
+                     (0.0, 3.0)):
+            for p in (0.0, 1.0, np.inf, -0.5):
+                assert type(p_mean(p, 0.4, a, b)) is float
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            p_mean(1.0, 0.5, np.array([1.0, -1.0]), 2.0)

@@ -221,6 +221,37 @@ class TestMidpoint:
             midpoint(0.5, core.origin(1), pt(0.0, 0.0, 1.0))
 
 
+class TestScalarViews:
+    """cc_distance, angle and midpoint are the paired kernel on one pair."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bits_of_the_paired_kernel(self, n):
+        rng = np.random.default_rng(40 + n)
+        xs = rand_points(rng, 60, n=n)
+        ys = rand_points(rng, 60, n=n)
+        ys[:5] = xs[:5]
+        ys[5:10, :-1] = xs[5:10, :-1]  # center pairs
+        theta, dist, unique = geodesy.paired_invert(xs, ys)
+        zs = geodesy._paired_midpoints(0.3, xs, ys)[0]
+        assert not np.any(unique[5:10])
+        for k in range(60):
+            assert cc_distance(xs[k], ys[k]) == dist[k]
+            assert angle(xs[k], ys[k]) == abs(theta[k])
+            if unique[k]:
+                assert np.array_equal(midpoint(0.3, xs[k], ys[k]), zs[k])
+            else:
+                with pytest.raises(NonUniqueGeodesic):
+                    midpoint(0.3, xs[k], ys[k])
+
+    def test_rejects_nonfinite(self):
+        bad = pt(np.nan, 0.0, 0.0)
+        for call in (lambda: cc_distance(bad, pt(0.0, 0.0, 1.0)),
+                     lambda: angle(core.origin(1), bad),
+                     lambda: midpoint(0.5, pt(np.inf, 0.0, 0.0), core.origin(1))):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestMidpointSet:
     def test_singleton(self):
         x = pt(0.5, 0.5, 0.5)

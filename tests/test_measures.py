@@ -428,6 +428,25 @@ class TestProbeSearch:
         assert np.array_equal(got, brute_covered(queries, points, 0.05))
 
 
+class TestBoundaryMask:
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.integers(-3, 60), max_size=40), st.lists(st.integers(-3, 60), max_size=40))
+    def test_membership_is_isin(self, occupied, keys):
+        occupied = np.unique(np.array(occupied, dtype=np.int64))
+        keys = np.array(keys, dtype=np.int64)
+        assert np.array_equal(measures._in_sorted(keys, occupied), np.isin(keys, occupied))
+
+    def test_faces_on_a_block(self):
+        # a 3x3x3 block of occupied cells: only its centre has no free face
+        lo, shape = np.zeros(3, dtype=np.int64), (5, 5, 5)
+        cells = np.stack(np.meshgrid(*[np.arange(1, 4)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        keys = measures._encode(cells, lo, shape)
+        order = np.argsort(keys)
+        mask = measures._boundary_mask(cells[order], keys[order], lo, shape)
+        assert mask.sum() == 26
+        assert not mask[np.all(cells[order] == 2, axis=1)][0]
+
+
 class TestRejectionGuard:
     def test_low_acceptance_raises(self):
         # a far-off-center ball has a hugely sheared bounding box, so the

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from heis.distortion import tau_tilde
+from heis.distortion import p_mean, tau_tilde
+from heis.geodesy import TWO_PI, angle, midpoint
 from heis.measures import BoxRegion, DiscreteMeasure, UnionRegion, normalized_measure
 from heis.transport import cost_matrix, geodesic_plan, solve_exact
 from heis.verify import (
@@ -220,6 +221,124 @@ class TestVerifyBbl:
         f, g, h = self.grid(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             verify_bbl(f, g, h, s=0.5, p=-1.0)
+
+    def test_unknown_pairing_rejected_without_samples(self):
+        f, g, h = self.grid(0.0, 1.0, 1.0)  # f = 0: no triple is drawn
+        with pytest.raises(ValueError):
+            verify_bbl(f, g, h, s=0.5, p=1.0, pairing="bogus")
+
+
+def bbl_reference(f, g, h_fn, s, p, n_samples, seed, pairing):
+    """The BBL hypothesis check one triple at a time, from the public scalar
+    functions: (index, witness) of every failing triple, in sample order."""
+    n = (f.box.intervals.shape[0] - 1) // 2
+    d = 2 * n + 1
+    if np.all(f.values == 0.0) or np.all(g.values == 0.0):
+        return []
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    xs = f.support_points(n_samples, rng)
+    ys = g.support_points(n_samples, rng) if pairing == "independent" else xs.copy()
+    fails = []
+    for k in range(n_samples):
+        fx = float(f.value_at(xs[k])[0])
+        gy = float(g.value_at(ys[k])[0])
+        if fx == 0.0 and gy == 0.0:
+            continue
+        th = angle(xs[k], ys[k])
+        if th >= TWO_PI:
+            continue
+        z = midpoint(s, xs[k], ys[k])
+        bound = p_mean(p, s, fx / tau_tilde(n, 1.0 - s, th) ** d,
+                       gy / tau_tilde(n, s, th) ** d)
+        hz = float(h_fn.value_at(z)[0])
+        if hz < bound - 1e-9:
+            fails.append((k, {"x": xs[k].tolist(), "y": ys[k].tolist(),
+                              "z": z.tolist(), "h_z": hz, "bound": bound}))
+    return fails
+
+
+class Holed(GridFunction):
+    """A grid function read as 0 where xi_1 < 0.4, so that some of the
+    points it samples from its support have value 0."""
+
+    def value_at(self, points):
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.where(p[:, 0] < 0.4, 0.0, super().value_at(points))
+
+
+def bbl_case(n=1, s=0.3, h_scale=0.9, h_zeta=(0.0, 1.0), h_t=(-0.5, 1.5), cells=16,
+             kind=GridFunction, f_scale=None):
+    """f, g = the normalised indicators of the unit box of H^n, h = h_scale
+    on the box h_zeta^{2n} x h_t."""
+    d = 2 * n + 1
+    unit = BoxRegion.unit(n)
+    hbox = BoxRegion(np.array([list(h_zeta)] * (2 * n) + [list(h_t)]))
+    shape = (cells,) * d
+    c1 = tau_tilde(n, 1.0 - s, 0.0) ** d if f_scale is None else f_scale
+    c2 = tau_tilde(n, s, 0.0) ** d
+    return (kind.indicator(unit, unit, shape, scale=c1),
+            kind.indicator(unit, unit, shape, scale=c2),
+            GridFunction.indicator(hbox, hbox, shape, scale=h_scale))
+
+
+class TestBblAgainstReference:
+    """verify_bbl checks the hypothesis on whole arrays; the per-triple loop
+    above is its oracle: same verdict, same first failing triple, and the
+    same witness to the last bit."""
+
+    def check(self, fgh, s, p, n_samples, seed, pairing):
+        """The reference's failures; verify_bbl must raise on the first."""
+        fails = bbl_reference(*fgh, s, p, n_samples, seed, pairing)
+        if fails:
+            with pytest.raises(HypothesisViolated) as ei:
+                verify_bbl(*fgh, s=s, p=p, n_samples=n_samples, seed=seed, pairing=pairing)
+            assert ei.value.witness == fails[0][1]
+        else:
+            verify_bbl(*fgh, s=s, p=p, n_samples=n_samples, seed=seed, pairing=pairing)
+        return fails
+
+    @pytest.mark.parametrize("p", [-1.0 / 3.0, 0.0, 1.0, np.inf])
+    def test_independent_pairing_fails_at_several_triples(self, p):
+        fails = self.check(bbl_case(), 0.3, p, 200, 21, "independent")
+        assert len(fails) >= 2 and fails[0][0] > 0
+
+    @pytest.mark.parametrize("p", [-1.0 / 3.0, 0.0, 1.0, np.inf])
+    def test_witness_bits_over_many_seeds(self, p):
+        # h = 0 fails the first triple, so each seed compares one bound: the
+        # C library's pow in both, where numpy's vectorised ** misses ~5 %
+        # of them by a bit
+        fgh = bbl_case(h_scale=0.0)
+        for seed in range(60):
+            assert self.check(fgh, 0.3, p, 2, seed, "independent")
+
+    @pytest.mark.parametrize("p", [0.0, np.inf])
+    def test_samples_with_zero_values(self, p):
+        fgh = bbl_case(kind=Holed)
+        fails = self.check(fgh, 0.3, p, 200, 22, "independent")
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(22)))
+        x0 = fgh[0].support_points(200, rng)[:, 0] < 0.4
+        y0 = fgh[1].support_points(200, rng)[:, 0] < 0.4
+        assert np.any(x0 & y0) and np.any(x0 ^ y0) and fails
+
+    @pytest.mark.parametrize("h_scale", [1.0, 0.25])
+    def test_diagonal_pairing(self, h_scale):
+        # theta = 0 and z = x on the diagonal; the 0.25 instance fails at triple 0
+        fails = self.check(bbl_case(s=0.5, h_scale=h_scale), 0.5, np.inf, 200, 23,
+                           "diagonal")
+        assert bool(fails) == (h_scale < 1.0)
+
+    @pytest.mark.parametrize("h_scale, h_zeta, h_t", [(0.9, (0.0, 1.0), (-0.5, 1.5)),
+                                                      (1.0, (-1.0, 2.0), (-3.0, 4.0))])
+    def test_n2_on_a_4_grid(self, h_scale, h_zeta, h_t):
+        fgh = bbl_case(n=2, s=0.4, h_scale=h_scale, h_zeta=h_zeta, h_t=h_t, cells=4)
+        fails = self.check(fgh, 0.4, 0.0, 150, 24, "independent")
+        assert bool(fails) == (h_scale < 1.0)
+
+    def test_all_zero_f_checks_no_triple(self):
+        fgh = bbl_case(f_scale=0.0)
+        assert self.check(fgh, 0.3, 1.0, 100, 25, "independent") == []
+        rep = verify_bbl(*fgh, s=0.3, p=1.0, n_samples=100, seed=25)
+        assert rep.discretization_note == "hypothesis checked on 0 independent triples"
 
 
 class TestStepLimit:
