@@ -232,18 +232,6 @@ def _run_verifier(target: str, cfg: ExperimentConfig, A=None, B=None,
     raise SystemExit(f"unknown verifier {target!r}")
 
 
-def _cmd_verify(target):
-    def run(args) -> int:
-        cfg = _load_config(args)
-        if args.dry_run:
-            return _dry_run(cfg, {"verifier": target})
-        reports = _run_verifier(target, cfg)
-        _emit(reports, cfg)
-        return _exit_code(reports)
-
-    return run
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if args.dry_run:
@@ -366,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("verify-cd", "verify-bmi", "verify-sbmi"):
         p = sub.add_parser(name, help=f"run the {name[7:].upper()} verifier")
         common(p)
-        p.set_defaults(func=_cmd_verify(name[7:]))
+        p.set_defaults(func=_cmd_sweep, target=name[7:])
 
     p = sub.add_parser("verify-bbl", help="Borell-Brascamp-Lieb on indicator grids")
     common(p)

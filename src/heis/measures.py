@@ -412,12 +412,16 @@ def _cell_index(points, h):
     return np.floor(np.asarray(points, dtype=float) / h).astype(np.int64)
 
 
-def _cell_masses(points, weights, h):
-    """Unique cells, per-point inverse map, and cell masses."""
-    idx = _cell_index(points, h)
-    cells, inv = np.unique(idx, axis=0, return_inverse=True)
+def _histogram_density(points, weights, h):
+    """Per-point histogram density: (mass of the point's cell) / h^{2n+1}."""
+    cells, inv = np.unique(_cell_index(points, h), axis=0, return_inverse=True)
     mass = np.bincount(inv, weights=weights, minlength=len(cells))
-    return cells, inv, mass
+    return mass[inv] / h ** points.shape[1]
+
+
+def _entropy(weights, rho, d):
+    """-sum_i w_i rho_i^{-1/d}, the entropy of a d = 2n+1 dimensional measure."""
+    return float(-np.sum(weights * rho ** (-1.0 / d)))
 
 
 def estimate_density(m: DiscreteMeasure, h: float) -> DiscreteMeasure:
@@ -425,25 +429,14 @@ def estimate_density(m: DiscreteMeasure, h: float) -> DiscreteMeasure:
     rho(x) = (mass of the cell of x) / h^{2n+1}."""
     if not h > 0:
         raise ValueError("grid cell size h must be positive")
-    d = m.points.shape[1]
-    _, inv, mass = _cell_masses(m.points, m.weights, h)
-    rho = mass[inv] / h ** d
-    return replace(m, density=rho, density_h=h)
+    return replace(m, density=_histogram_density(m.points, m.weights, h), density_h=h)
 
 
 def renyi_entropy(m: DiscreteMeasure) -> float:
     """Ent(mu | Leb) = -integral rho^{1 - 1/(2n+1)} dLeb = -sum_i w_i rho_i^{-1/(2n+1)}."""
     if m.density is None:
         raise ValueError("measure has no density; call estimate_density first")
-    e = 2 * m.n + 1
-    return float(-np.sum(m.weights * m.density ** (-1.0 / e)))
-
-
-def _plain_entropy(points, weights, h, d):
-    _, inv, mass = _cell_masses(points, weights, h)
-    rho = mass[inv] / h ** d
-    e = d  # 2n+1
-    return float(-np.sum(weights * rho ** (-1.0 / e)))
+    return _entropy(m.weights, m.density, 2 * m.n + 1)
 
 
 def renyi_entropy_estimate(m: DiscreteMeasure, h: float,
@@ -466,8 +459,8 @@ def renyi_entropy_estimate(m: DiscreteMeasure, h: float,
     k = 2.0 ** d
 
     def corrected(points, weights):
-        e1 = _plain_entropy(points, weights, h, d)
-        e2 = _plain_entropy(points, weights, 2.0 * h, d)
+        e1 = _entropy(weights, _histogram_density(points, weights, h), d)
+        e2 = _entropy(weights, _histogram_density(points, weights, 2.0 * h), d)
         return (k * e2 - e1) / (k - 1.0), e1, e2
 
     value, e1, e2 = corrected(m.points, m.weights)
@@ -560,23 +553,27 @@ def _encode(idx, lo, shape):
     return np.ravel_multi_index((idx - lo).T, shape)
 
 
-def _exact_leq(pts_a, pts_b, r):
-    """d(a_k, b_k) <= r elementwise for paired coordinate arrays.
+def _within(xs, ys, r):
+    """d(x_k, y_k) <= r elementwise for matched clouds.
 
-    Cheap sandwich bounds (|dzeta| <= d, sqrt(pi |dt|/2) <= d, and
-    d <= |dzeta| + sqrt(pi |dt|)) settle most pairs without a root solve.
+    With (dzeta, dt) = x_k^{-1} y_k, the bounds |dzeta| <= d,
+    sqrt(pi |dt| / 2) <= d and d <= |dzeta| + sqrt(pi |dt|) settle most
+    pairs; the rest take the root solve.
     """
-    dz, dt = geodesy._twisted_difference(pts_a, pts_b)
-    adz = np.sqrt(np.sum(dz.real ** 2 + dz.imag ** 2, axis=-1))
+    diff = ys[:, :-1] - xs[:, :-1]
+    dz2 = np.sum(diff * diff, axis=1)
+    out = np.zeros(len(xs), dtype=bool)
+    live = np.flatnonzero(dz2 <= r * r)
+    dzeta, dt = geodesy._twisted_difference(xs[live], ys[live])
     adt = np.abs(dt)
-    out = np.zeros(adz.shape, dtype=bool)
-    reject = (adz > r) | (np.pi * adt / 2.0 > r * r)
-    accept = adz + np.sqrt(np.pi * adt) <= r
-    out[accept] = True
-    open_ = ~(reject | accept)
-    if np.any(open_):
-        _, _, dist, _ = geodesy._invert_arrays(dz[open_], dt[open_])
-        out[open_] = dist <= r
+    keep = np.pi * adt / 2.0 <= r * r
+    live, dz2, adt, dzeta, dt = live[keep], dz2[live][keep], adt[keep], dzeta[keep], dt[keep]
+    sure = np.sqrt(dz2) + np.sqrt(np.pi * adt) <= r
+    out[live[sure]] = True
+    rest = ~sure
+    if np.any(rest):
+        _, _, dist, _ = geodesy._invert_arrays(dzeta[rest], dt[rest])
+        out[live[rest]] = dist <= r
     return out
 
 
@@ -595,52 +592,37 @@ def _zeta_offsets(n, r, h, gap):
 def _covered_cells_r(points, r, h, lo, shape):
     """Grid cells whose center is within CC distance r of some point.
 
-    Uses the bounds d >= |dzeta|, d >= sqrt(pi |dt_twisted| / 2), and
-    d <= |dzeta| + sqrt(pi |dt_twisted|) to prune candidate (point, cell)
-    pairs before exact distance checks.
+    The bounds d >= |dzeta| and d >= sqrt(pi |dt_twisted| / 2) limit the
+    candidate (point, cell) pairs; `_within` decides each candidate.
     """
     d = points.shape[1]
     n = (d - 1) // 2
     zr = points[:, :-1]
-    tp = points[:, -1]
-    base = np.floor(points[:, :-1] / h).astype(np.int64)
+    base = np.floor(zr / h).astype(np.int64)
     w_t = 2.0 * r * r / np.pi
     found = []
     for off in _zeta_offsets(n, r, h, 0.5)[0]:
         czeta = (base + off + 0.5) * h
-        dz2 = np.sum((czeta - zr) ** 2, axis=1)
-        near = dz2 <= r * r
+        near = np.sum((czeta - zr) ** 2, axis=1) <= r * r
         if not np.any(near):
             continue
         czeta_n = czeta[near]
-        zr_n = zr[near]
-        tp_n = tp[near]
-        dz_n = np.sqrt(dz2[near])
+        pts_n = points[near]
         # t of x^{-1} c is t_c - t_p - 2 sum Im(zeta_p conj(zeta_c));
         # require |that| <= w_t, i.e. t_c in [t_p + tw - w_t, t_p + tw + w_t]
-        tw = core._twist(zr_n, czeta_n)
-        t_lo = tp_n + tw - w_t
-        t_hi = tp_n + tw + w_t
+        tw = core._twist(pts_n[:, :-1], czeta_n)
+        t_lo = pts_n[:, -1] + tw - w_t
+        t_hi = pts_n[:, -1] + tw + w_t
         k_min = np.ceil(t_lo / h - 0.5).astype(np.int64)
         k_max = np.floor(t_hi / h - 0.5).astype(np.int64)
         counts = np.maximum(k_max - k_min + 1, 0)
         if counts.sum() == 0:
             continue
         rep, ks = _ranges_concat(k_min, counts)
-        cand_pts = np.empty((len(rep), d))
-        cand_pts[:, :-1] = zr_n[rep]
-        cand_pts[:, -1] = tp_n[rep]
         cand_ctr = np.empty((len(rep), d))
         cand_ctr[:, :-1] = czeta_n[rep]
         cand_ctr[:, -1] = (ks + 0.5) * h
-        # sufficient: |dzeta| + sqrt(pi |dt|) <= r
-        dtw = cand_ctr[:, -1] - (tp_n[rep] + tw[rep])
-        upper = dz_n[rep] + np.sqrt(np.pi * np.abs(dtw))
-        sure = upper <= r
-        rest = ~sure
-        hit = sure.copy()
-        if np.any(rest):
-            hit[rest] = _exact_leq(cand_pts[rest], cand_ctr[rest], r)
+        hit = _within(pts_n[rep], cand_ctr, r)
         if not np.any(hit):
             continue
         cidx = np.empty((int(hit.sum()), d), dtype=np.int64)
@@ -786,7 +768,7 @@ def _covered_queries(queries, index, r):
     |dzeta| <= r and pi |dt| / 2 <= r^2 has |S_p - Q| <= 2 r^2 / pi + 2 |b| r;
     a neighbour cell farther than r from zeta_q is not searched.  Rounding
     margins on both bounds make the candidates a superset of the pairs that
-    pass the float tests below, which decide every candidate.
+    pass the float tests of `_within`, which decides every candidate.
     """
     d = queries.shape[1]
     n = (d - 1) // 2
@@ -830,29 +812,7 @@ def _covered_queries(queries, index, r):
         if len(rep) == 0:
             continue
         qi = qi[rep]
-        # the float test chain: |dzeta| <= r, pi |dt| / 2 <= r^2, then the
-        # sufficient bound |dzeta| + sqrt(pi |dt|) <= r, then the root solve
-        dq = queries[qi]
-        dp = points[order[pos]]
-        diff = dp[:, :-1] - dq[:, :-1]
-        dz2 = np.sum(diff * diff, axis=1)
-        keep = dz2 <= r * r
-        if not np.any(keep):
-            continue
-        qi, dz2 = qi[keep], dz2[keep]
-        dzeta, dt = geodesy._twisted_difference(dq[keep], dp[keep])
-        adt = np.abs(dt)
-        keep = np.pi * adt / 2.0 <= r * r
-        if not np.any(keep):
-            continue
-        qi, dz2, adt, dzeta, dt = qi[keep], dz2[keep], adt[keep], dzeta[keep], dt[keep]
-        dz = np.sqrt(dz2)
-        sure = dz + np.sqrt(np.pi * adt) <= r
-        covered[qi[sure]] = True
-        rest = ~sure
-        if np.any(rest):
-            _, _, dist, _ = geodesy._invert_arrays(dzeta[rest], dt[rest])
-            covered[qi[rest][dist <= r]] = True
+        covered[qi[_within(queries[qi], points[order[pos]], r)]] = True
     return covered
 
 

@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 
 from . import core, geodesy
 from .geodesy import NonUniqueGeodesic, PairTable
-from .measures import DiscreteMeasure, VolumeEstimate, estimate_volume
+from .measures import DiscreteMeasure
 
 __all__ = [
     "CostMatrix",
@@ -36,7 +36,6 @@ __all__ = [
     "w2",
     "geodesic_plan",
     "interpolate",
-    "interpolant_support_volume",
 ]
 
 _MARGINAL_TOL = 1e-9
@@ -314,20 +313,9 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
     return plan
 
 
-def _solve(C: CostMatrix, src: DiscreteMeasure, tgt: DiscreteMeasure,
-           method: str, epsilon: float | None, **kw) -> TransportPlan:
-    if method == "exact":
-        return solve_exact(C, src.weights, tgt.weights)
-    if method == "sinkhorn":
-        eps = epsilon if epsilon is not None else 0.05 * float(np.median(C.cost))
-        return solve_sinkhorn(C, src.weights, tgt.weights, eps, **kw)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def w2(src: DiscreteMeasure, tgt: DiscreteMeasure, method: str = "exact",
-       epsilon: float | None = None, **kw) -> float:
-    """Wasserstein distance: sqrt of the (possibly regularized) optimal cost."""
-    plan = _solve(cost_matrix(src, tgt), src, tgt, method, epsilon, **kw)
+def w2(src: DiscreteMeasure, tgt: DiscreteMeasure) -> float:
+    """Wasserstein distance: sqrt of the exact optimal cost."""
+    plan = solve_exact(cost_matrix(src, tgt), src.weights, tgt.weights)
     return float(np.sqrt(max(plan.cost, 0.0)))
 
 
@@ -356,12 +344,11 @@ class GeodesicPlan:
 
 
 def geodesic_plan(src: DiscreteMeasure, tgt: DiscreteMeasure,
-                  method: str = "exact", epsilon: float | None = None,
-                  C: CostMatrix | None = None, **kw) -> GeodesicPlan:
-    """Solve transport and keep the geodesic data for interpolation."""
+                  C: CostMatrix | None = None) -> GeodesicPlan:
+    """Solve exact transport and keep the geodesic data for interpolation."""
     if C is None or C.table is None or C.table.chi is None:
         C = cost_matrix(src, tgt, want_chi=True)
-    plan = _solve(C, src, tgt, method, epsilon, **kw)
+    plan = solve_exact(C, src.weights, tgt.weights)
     return GeodesicPlan(plan=plan, source=src, target=tgt, table=C.table)
 
 
@@ -384,11 +371,3 @@ def interpolate(gp: GeodesicPlan, s: float, merge_tol: float = 1e-12) -> Discret
     _, uniq_idx, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     mass = np.bincount(inv, weights=gp.plan.mass)
     return DiscreteMeasure(pts[uniq_idx], mass / mass.sum())
-
-
-def interpolant_support_volume(gp: GeodesicPlan, s: float, r: float, h: float,
-                               bound) -> VolumeEstimate:
-    """Occupancy-grid volume of the interpolant's point cloud: the discrete
-    surrogate for Leb(spt((T_s)#eta))."""
-    mu_s = interpolate(gp, s)
-    return estimate_volume(mu_s.points, r, h, bound)

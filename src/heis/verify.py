@@ -25,6 +25,7 @@ from .measures import (
     BoxRegion,
     DiscreteMeasure,
     Region,
+    _rng,
     estimate_density,
     estimate_volume,
     normalized_measure,
@@ -131,6 +132,14 @@ def _pair_angles(src_pts, tgt_pts, i, j):
     return np.abs(geodesy.paired_invert(src_pts[i], tgt_pts[j])[0])
 
 
+def _cd_terms(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure,
+              s: float, angles: np.ndarray) -> np.ndarray:
+    """The pair terms of F^n_s, so that F^n_s = -sum_ij pi_ij terms_ij."""
+    e = 2 * src.n + 1
+    return (tau(src.n, 1.0 - s, angles) * src.density[plan.i] ** (-1.0 / e)
+            + tau(src.n, s, angles) * tgt.density[plan.j] ** (-1.0 / e))
+
+
 def cd_functional(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure,
                   s: float, angles: np.ndarray | None = None) -> float:
     """F^n_s of the plan:
@@ -145,12 +154,13 @@ def cd_functional(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasur
         raise ValueError("cd_functional needs marginal densities")
     if angles is None:
         angles = _pair_angles(src.points, tgt.points, plan.i, plan.j)
-    e = 2 * src.n + 1
-    t0 = tau(src.n, 1.0 - s, angles)
-    t1 = tau(src.n, s, angles)
-    terms = (t0 * src.density[plan.i] ** (-1.0 / e)
-             + t1 * tgt.density[plan.j] ** (-1.0 / e))
-    return float(-np.sum(plan.mass * terms))
+    return float(-np.sum(plan.mass * _cd_terms(plan, src, tgt, s, angles)))
+
+
+def _inconclusive(name, s, note, lhs=np.nan, rhs=np.nan) -> InequalityReport:
+    """A report whose margin cannot be formed: NaN margin and stderr."""
+    return InequalityReport(name=name, s=float(s), lhs=lhs, rhs=rhs, margin=np.nan,
+                            mc_stderr=np.nan, holds="inconclusive", discretization_note=note)
 
 
 def _cloud_bound(points, r, h) -> BoxRegion:
@@ -171,6 +181,11 @@ def _cloud_bound(points, r, h) -> BoxRegion:
     return BoxRegion(iv)
 
 
+def _volume(points, r, h):
+    """Occupancy volume of the r-thickened cloud within its `_cloud_bound`."""
+    return estimate_volume(points, r, h, _cloud_bound(points, r, h))
+
+
 def _weighted_spread(mass, terms):
     """Stderr of a plan-weighted mean, treating supported pairs as a
     weighted iid sample (effective size 1 / sum mass^2)."""
@@ -185,8 +200,7 @@ def _jensen_report(mu_s: DiscreteMeasure, s, h) -> InequalityReport:
     pair on one grid (the discrete inequality is then exact by Hoelder)."""
     d = mu_s.points.shape[1]
     ent = renyi_entropy(estimate_density(mu_s, h))
-    bound = _cloud_bound(mu_s.points, 0.0, h)
-    vol = estimate_volume(mu_s.points, 0.0, h, bound)
+    vol = _volume(mu_s.points, 0.0, h)
     rhs = -vol.volume ** (1.0 / d)
     margin = ent - rhs
     return InequalityReport.build(
@@ -213,29 +227,20 @@ def verify_cd_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     try:
         gp = geodesic_plan(mu0, mu1, C=C)
     except NonUniqueGeodesic as err:
-        return [InequalityReport(
-            name="CD", s=float(s), lhs=np.nan, rhs=np.nan, margin=np.nan,
-            mc_stderr=np.nan, holds="inconclusive",
-            discretization_note=f"center pairs in the optimal plan: {err}",
-        ) for s in s_values]
+        return [_inconclusive("CD", s, f"center pairs in the optimal plan: {err}")
+                for s in s_values]
 
     angles = np.abs(C.table.theta[gp.plan.i, gp.plan.j])
-    e = 2 * mu0.n + 1
     reports = []
     for s in s_values:
         mu_s = interpolate(gp, s)
         lhs, lhs_err = renyi_entropy_estimate(mu_s, h)
-        t0 = tau(mu0.n, 1.0 - s, angles)
-        t1 = tau(mu0.n, s, angles)
-        terms = (t0 * mu0.density[gp.plan.i] ** (-1.0 / e)
-                 + t1 * mu1.density[gp.plan.j] ** (-1.0 / e))
+        terms = _cd_terms(gp.plan, mu0, mu1, s, angles)
         rhs = float(-np.sum(gp.plan.mass * terms))
         if not np.isfinite(rhs):
-            reports.append(InequalityReport(
-                name="CD", s=float(s), lhs=lhs, rhs=rhs, margin=np.nan,
-                mc_stderr=np.nan, holds="inconclusive",
-                discretization_note="infinite distortion coefficient in rhs; "
-                                    "claim vacuously strong", ))
+            reports.append(_inconclusive(
+                "CD", s, "infinite distortion coefficient in rhs; claim vacuously strong",
+                lhs=lhs, rhs=rhs))
             continue
         rhs_err = _weighted_spread(gp.plan.mass, -terms)
         margin = rhs - lhs
@@ -270,15 +275,38 @@ def _bmi_rhs(n, s, theta_dev, volA, volB, volA_err, volB_err):
     return rhs, float(np.hypot(da, db)), tA, tB
 
 
-def _degenerate_theta_report(name, s, note):
-    return InequalityReport(
-        name=name, s=float(s), lhs=np.nan, rhs=np.nan, margin=np.nan,
-        mc_stderr=np.nan, holds="inconclusive", discretization_note=note)
-
-
 _THETA_DEGENERATE_NOTE = (
     "Theta = 2pi: A^{-1}*B sits in the center, which forces "
     "Leb(A) = Leb(B) = 0; no content to verify at sample scale")
+
+
+def _root(vol, d):
+    """Leb^{1/d} of a volume estimate, with its delta-method stderr."""
+    err = vol.stderr / (d * vol.volume ** ((d - 1.0) / d)) if vol.volume > 0 else 0.0
+    return vol.volume ** (1.0 / d), err
+
+
+def _bmi_sides(A_pts, B_pts, table, s_values, r, h):
+    """Per s, the BMI sides on the sampled midpoint set as (lhs, lhs_err,
+    rhs, rhs_err, extras), extras holding Theta and the volumes; None when
+    Theta = 2pi."""
+    theta_dev = theta_deviation(A_pts, B_pts, table=table)
+    if theta_dev >= TWO_PI:
+        return None
+    volA = _volume(A_pts, r, h)
+    volB = _volume(B_pts, r, h)
+    n = (A_pts.shape[1] - 1) // 2
+    sides = []
+    for s in s_values:
+        Z = geodesy.midpoint_set(s, A_pts, B_pts, table=table)
+        volZ = _volume(Z.points, r, h)
+        rhs, rhs_err, tA, tB = _bmi_rhs(n, s, theta_dev, volA.volume, volB.volume,
+                                        volA.stderr, volB.stderr)
+        sides.append((*_root(volZ, 2 * n + 1), rhs, rhs_err,
+                      {"theta": theta_dev, "vol_A": volA.volume, "vol_B": volB.volume,
+                       "vol_Z": volZ.volume, "skipped_pairs": Z.skipped,
+                       "tau_A": tA, "tau_B": tB}))
+    return sides
 
 
 def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
@@ -296,33 +324,13 @@ def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     A_pts = sample_uniform(A, N, seed)
     B_pts = sample_uniform(B, N, seed + 1)
     table = geodesy.pair_table(A_pts, B_pts, want_chi=True)
-    theta_dev = theta_deviation(A_pts, B_pts, table=table)
-    if theta_dev >= TWO_PI:
-        return [_degenerate_theta_report("BMI", s, _THETA_DEGENERATE_NOTE)
-                for s in s_values]
-
-    volA = estimate_volume(A_pts, r, h, _cloud_bound(A_pts, r, h))
-    volB = estimate_volume(B_pts, r, h, _cloud_bound(B_pts, r, h))
-    n = (A_pts.shape[1] - 1) // 2
-    d = 2 * n + 1
-    reports = []
-    for s in s_values:
-        Z = geodesy.midpoint_set(s, A_pts, B_pts, table=table)
-        volZ = estimate_volume(Z.points, r, h, _cloud_bound(Z.points, r, h))
-        lhs = volZ.volume ** (1.0 / d)
-        lhs_err = volZ.stderr / (d * volZ.volume ** ((d - 1.0) / d)) if volZ.volume > 0 else 0.0
-        rhs, rhs_err, tA, tB = _bmi_rhs(n, s, theta_dev, volA.volume, volB.volume,
-                                        volA.stderr, volB.stderr)
-        margin = lhs - rhs
-        stderr = float(np.hypot(lhs_err, rhs_err))
-        reports.append(InequalityReport.build(
-            "BMI", s, lhs=lhs, rhs=rhs, margin=margin, stderr=stderr,
-            note=f"N={N} r={r:g} h={h:g}; volumes share one estimator",
-            extras={"theta": theta_dev, "vol_A": volA.volume, "vol_B": volB.volume,
-                    "vol_Z": volZ.volume, "skipped_pairs": Z.skipped,
-                    "tau_A": tA, "tau_B": tB},
-        ))
-    return reports
+    sides = _bmi_sides(A_pts, B_pts, table, s_values, r, h)
+    if sides is None:
+        return [_inconclusive("BMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
+    return [InequalityReport.build(
+        "BMI", s, lhs=lhs, rhs=rhs, margin=lhs - rhs, stderr=np.hypot(lhs_err, rhs_err),
+        note=f"N={N} r={r:g} h={h:g}; volumes share one estimator", extras=extras)
+        for s, (lhs, lhs_err, rhs, rhs_err, extras) in zip(s_values, sides)]
 
 
 def verify_bmi(A: Region, B: Region, s: float, N: int, seed: int,
@@ -340,44 +348,29 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     mu0 = normalized_measure(A, N, seed)
     mu1 = normalized_measure(B, N, seed + 1)
     C = cost_matrix(mu0, mu1, want_chi=True)
-    theta_dev = float(np.min(np.abs(C.table.theta)))
-    if theta_dev >= TWO_PI:
-        return [_degenerate_theta_report("SBMI", s, _THETA_DEGENERATE_NOTE)
-                for s in s_values]
+    sides = _bmi_sides(mu0.points, mu1.points, C.table, s_values, r, h)
+    if sides is None:
+        return [_inconclusive("SBMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
     try:
         gp = geodesic_plan(mu0, mu1, C=C)
     except NonUniqueGeodesic as err:
-        return [_degenerate_theta_report(
-            "SBMI", s, f"center pairs in the optimal plan: {err}")
-            for s in s_values]
+        return [_inconclusive("SBMI", s, f"center pairs in the optimal plan: {err}")
+                for s in s_values]
 
-    volA = estimate_volume(mu0.points, r, h, _cloud_bound(mu0.points, r, h))
-    volB = estimate_volume(mu1.points, r, h, _cloud_bound(mu1.points, r, h))
-    n = mu0.n
-    d = 2 * n + 1
+    d = 2 * mu0.n + 1
     reports = []
-    for s in s_values:
-        mu_s = interpolate(gp, s)
-        volS = estimate_volume(mu_s.points, r, h, _cloud_bound(mu_s.points, r, h))
-        Z = geodesy.midpoint_set(s, mu0.points, mu1.points, table=C.table)
-        volZ = estimate_volume(Z.points, r, h, _cloud_bound(Z.points, r, h))
-        lhs = volS.volume ** (1.0 / d)
-        lhs_err = volS.stderr / (d * volS.volume ** ((d - 1.0) / d)) if volS.volume > 0 else 0.0
-        lhs_bmi = volZ.volume ** (1.0 / d)
-        lhs_bmi_err = volZ.stderr / (d * volZ.volume ** ((d - 1.0) / d)) if volZ.volume > 0 else 0.0
-        rhs, rhs_err, tA, tB = _bmi_rhs(n, s, theta_dev, volA.volume, volB.volume,
-                                        volA.stderr, volB.stderr)
-        margin = lhs - rhs
-        stderr = float(np.hypot(lhs_err, rhs_err))
+    for s, (lhs_bmi, lhs_bmi_err, rhs, rhs_err, bmi) in zip(s_values, sides):
+        volS = _volume(interpolate(gp, s).points, r, h)
+        lhs, lhs_err = _root(volS, d)
         reports.append(InequalityReport.build(
-            "SBMI", s, lhs=lhs, rhs=rhs, margin=margin, stderr=stderr,
+            "SBMI", s, lhs=lhs, rhs=rhs, margin=lhs - rhs, stderr=np.hypot(lhs_err, rhs_err),
             note=f"N={N} r={r:g} h={h:g}; exact plan interpolant support",
-            extras={"theta": theta_dev, "vol_A": volA.volume, "vol_B": volB.volume,
+            extras={"theta": bmi["theta"], "vol_A": bmi["vol_A"], "vol_B": bmi["vol_B"],
                     "vol_support": volS.volume, "lhs_bmi": lhs_bmi,
                     "lhs_bmi_stderr": lhs_bmi_err,
                     "containment_margin": lhs_bmi - lhs,
                     "containment_stderr": float(np.hypot(lhs_err, lhs_bmi_err)),
-                    "tau_A": tA, "tau_B": tB},
+                    "tau_A": bmi["tau_A"], "tau_B": bmi["tau_B"]},
         ))
     return reports
 
@@ -489,7 +482,7 @@ def verify_bbl(f: GridFunction, g: GridFunction, h_fn: GridFunction,
 
     if np.all(f.values == 0.0) or np.all(g.values == 0.0):
         n_samples = 0  # every pointwise bound is M(0, .) = 0: vacuous
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _rng(seed)
     if n_samples > 0:
         xs = f.support_points(n_samples, rng)
         ys = g.support_points(n_samples, rng) if pairing == "independent" else xs.copy()

@@ -428,6 +428,40 @@ class TestProbeSearch:
         assert np.array_equal(got, brute_covered(queries, points, 0.05))
 
 
+@st.composite
+def within_cases(draw):
+    """Pairs (x, x g) around (zeta0, t0), with g of size about r: a third
+    horizontal (t = 0), a third vertical (zeta = 0), so that the bounds of
+    the predicate are met with equality."""
+    n = draw(st.sampled_from([1, 2]))
+    r = draw(st.sampled_from([1e-3, 0.05, 1.0, 30.0]))
+    abs_zeta0 = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    abs_t0 = draw(st.sampled_from([0.0, 1.0, 1e6]))
+    k = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    _, xs = cluster_case(rng, n, r, r, abs_zeta0, abs_t0, r, k, 1)
+    size = r * rng.choice([0.3, 0.7, 1.0, 1.4], size=(k, 1))
+    g = np.empty((k, 2 * n + 1))
+    g[:, :-1] = rng.uniform(-1.0, 1.0, (k, 2 * n)) * size
+    g[:, -1] = rng.uniform(-1.0, 1.0, k) * size[:, 0] ** 2
+    kind = rng.integers(3, size=k)
+    g[kind == 0, -1] = 0.0
+    g[kind == 1, :-1] = 0.0
+    return xs, core.group_mul(xs, g), r
+
+
+class TestWithin:
+    @settings(deadline=None, max_examples=150)
+    @given(within_cases())
+    def test_is_the_distance_test(self, case):
+        xs, ys, r = case
+        got = measures._within(xs, ys, r)
+        assert np.array_equal(got, measures._within(ys, xs, r))
+        d = geodesy.cc_distance_many(xs, ys)
+        clear = np.abs(d - r) > 1e-12 * r
+        assert np.array_equal(got[clear], d[clear] <= r)
+
+
 class TestBoundaryMask:
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.integers(-3, 60), max_size=40), st.lists(st.integers(-3, 60), max_size=40))

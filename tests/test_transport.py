@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linear_sum_assignment
 
 from heis import core, geodesy, transport
-from heis.measures import BoxRegion, DiscreteMeasure, normalized_measure
+from heis.measures import BoxRegion, DiscreteMeasure, estimate_volume, normalized_measure
 from heis.transport import (
     CostMatrix,
     GeodesicPlan,
@@ -15,7 +15,6 @@ from heis.transport import (
     TransportPlan,
     cost_matrix,
     geodesic_plan,
-    interpolant_support_volume,
     interpolate,
     solve_exact,
     solve_sinkhorn,
@@ -412,7 +411,7 @@ class TestInterpolation:
         tgt = measure(cloud(rng, 20, shift=0.5))
         gp = geodesic_plan(src, tgt)
         bound = BoxRegion(np.array([[-1.0, 3.0]] * 3))
-        vols = [interpolant_support_volume(gp, 0.5, r, 0.1, bound).volume
+        vols = [estimate_volume(interpolate(gp, 0.5).points, r, 0.1, bound).volume
                 for r in (0.0, 0.1)]
         assert vols[0] <= vols[1]
 
@@ -421,5 +420,5 @@ class TestInterpolation:
         tgt = measure(np.array([[0.6, 0.5, 0.5]]))
         gp = geodesic_plan(src, tgt)
         bound = BoxRegion(np.array([[-1.0, 2.0]] * 3))
-        est = interpolant_support_volume(gp, 0.5, 0.0, 0.1, bound)
+        est = estimate_volume(interpolate(gp, 0.5).points, 0.0, 0.1, bound)
         assert est.volume == pytest.approx(0.1 ** 3)

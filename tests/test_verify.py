@@ -169,6 +169,58 @@ class TestVerifySbmi:
             assert rep.margin == 0.0
 
 
+    def test_carries_the_bmi_sweep_bit_for_bit(self):
+        args = (UNIT, OFFSET, [0.0, 0.5, 1.0], 150, 17, 0.1, 0.1)
+        for bmi, sbmi in zip(verify_bmi_sweep(*args), verify_sbmi_sweep(*args)):
+            assert sbmi.extras["lhs_bmi"] == bmi.lhs
+            assert sbmi.rhs == bmi.rhs
+            for key in ("theta", "vol_A", "vol_B", "tau_A", "tau_B"):
+                assert sbmi.extras[key] == bmi.extras[key]
+
+
+def snap_zeta(monkeypatch, snap):
+    """Make BoxRegion.sample keep its draws but map their zeta through `snap`."""
+    sample = BoxRegion.sample
+
+    def snapped(self, N, rng):
+        pts = sample(self, N, rng)
+        pts[:, :-1] = snap(pts[:, :-1])
+        return pts
+
+    monkeypatch.setattr(BoxRegion, "sample", snapped)
+
+
+def assert_inconclusive(reps, name, s_values, note):
+    assert [rep.s for rep in reps] == s_values
+    for rep in reps:
+        assert rep.name == name
+        assert rep.holds == "inconclusive"
+        assert np.isnan(rep.margin) and np.isnan(rep.mc_stderr)
+        assert rep.discretization_note.startswith(note)
+
+
+class TestDegenerateReports:
+    S = [0.25, 0.5]
+
+    def test_theta_two_pi(self, monkeypatch):
+        # one shared zeta puts every pair of A^{-1} B on the center axis
+        snap_zeta(monkeypatch, lambda z: np.full_like(z, 0.5))
+        for name, sweep in (("BMI", verify_bmi_sweep), ("SBMI", verify_sbmi_sweep)):
+            reps = sweep(UNIT, OFFSET, self.S, N=20, seed=1, r=0.1, h=0.1)
+            assert_inconclusive(reps, name, self.S, "Theta = 2pi")
+
+    def test_center_pairs_in_the_plan(self, monkeypatch):
+        # zeta on a lattice of four sites: pairs on one site are center
+        # pairs, pairs across sites are not, so Theta < 2pi
+        snap_zeta(monkeypatch, lambda z: np.floor(2.0 * z) / 2.0)
+        bmi = verify_bmi_sweep(UNIT, UNIT, self.S, N=20, seed=2, r=0.1, h=0.1)
+        assert bmi[0].extras["theta"] < TWO_PI
+        assert_inconclusive(verify_cd_sweep(UNIT, UNIT, self.S, N=20, seed=2, h=0.1),
+                            "CD", self.S, "center pairs in the optimal plan")
+        assert_inconclusive(verify_sbmi_sweep(UNIT, UNIT, self.S, N=20, seed=2, r=0.1, h=0.1),
+                            "SBMI", self.S, "center pairs in the optimal plan")
+
+
 class TestVerifyBbl:
     def grid(self, scale_f, scale_g, scale_h, shape=(16, 16, 16)):
         box = UNIT
