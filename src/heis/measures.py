@@ -412,11 +412,20 @@ def _cell_index(points, h):
     return np.floor(np.asarray(points, dtype=float) / h).astype(np.int64)
 
 
+def _cell_labels(points, h):
+    """Label of each point's grid cell; equal labels mean the same cell."""
+    return np.unique(_cell_index(points, h), axis=0, return_inverse=True)[1]
+
+
+def _label_density(labels, weights, h, d):
+    """Per-point histogram density from cell labels: (mass of the point's
+    cell) / h^d.  bincount adds each cell's weights in input order."""
+    return np.bincount(labels, weights=weights)[labels] / h ** d
+
+
 def _histogram_density(points, weights, h):
     """Per-point histogram density: (mass of the point's cell) / h^{2n+1}."""
-    cells, inv = np.unique(_cell_index(points, h), axis=0, return_inverse=True)
-    mass = np.bincount(inv, weights=weights, minlength=len(cells))
-    return mass[inv] / h ** points.shape[1]
+    return _label_density(_cell_labels(points, h), weights, h, points.shape[1])
 
 
 def _entropy(weights, rho, d):
@@ -455,23 +464,29 @@ def renyi_entropy_estimate(m: DiscreteMeasure, h: float,
     """
     if not h > 0:
         raise ValueError("grid cell size h must be positive")
+    if n_boot < 2:
+        raise ValueError("the bootstrap needs at least 2 replicates")
     d = m.points.shape[1]
     k = 2.0 ** d
+    # A replicate holds copies of sample points, and a copy lies in the cell
+    # of the point it copies: each grid is binned once, and a replicate
+    # resamples the cell labels.
+    grids = [(g, _cell_labels(m.points, g)) for g in (h, 2.0 * h)]
 
-    def corrected(points, weights):
-        e1 = _entropy(weights, _histogram_density(points, weights, h), d)
-        e2 = _entropy(weights, _histogram_density(points, weights, 2.0 * h), d)
+    def corrected(pick, weights):
+        e1, e2 = (_entropy(weights, _label_density(labels[pick], weights, g, d), d)
+                  for g, labels in grids)
         return (k * e2 - e1) / (k - 1.0), e1, e2
 
-    value, e1, e2 = corrected(m.points, m.weights)
+    value, e1, e2 = corrected(slice(None), m.weights)
 
     rng = _rng(seed ^ 0xB007)
     N = len(m.points)
+    w = np.full(N, 1.0 / N)
     boots = np.empty(n_boot)
     for b in range(n_boot):
         pick = rng.choice(N, size=N, replace=True, p=m.weights)
-        w = np.full(N, 1.0 / N)
-        boots[b], _, _ = corrected(m.points[pick], w)
+        boots[b], _, _ = corrected(pick, w)
     guard = abs(e2 - e1) / (k - 1.0)
     stderr = float(np.sqrt(np.var(boots) + guard * guard))
     return float(value), stderr

@@ -286,13 +286,10 @@ def _root(vol, d):
     return vol.volume ** (1.0 / d), err
 
 
-def _bmi_sides(A_pts, B_pts, table, s_values, r, h):
+def _bmi_sides(A_pts, B_pts, table, theta_dev, s_values, r, h):
     """Per s, the BMI sides on the sampled midpoint set as (lhs, lhs_err,
-    rhs, rhs_err, extras), extras holding Theta and the volumes; None when
-    Theta = 2pi."""
-    theta_dev = theta_deviation(A_pts, B_pts, table=table)
-    if theta_dev >= TWO_PI:
-        return None
+    rhs, rhs_err, extras), extras holding Theta = `theta_dev` (< 2pi) and
+    the volumes."""
     volA = _volume(A_pts, r, h)
     volB = _volume(B_pts, r, h)
     n = (A_pts.shape[1] - 1) // 2
@@ -324,9 +321,10 @@ def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     A_pts = sample_uniform(A, N, seed)
     B_pts = sample_uniform(B, N, seed + 1)
     table = geodesy.pair_table(A_pts, B_pts, want_chi=True)
-    sides = _bmi_sides(A_pts, B_pts, table, s_values, r, h)
-    if sides is None:
+    theta_dev = theta_deviation(A_pts, B_pts, table=table)
+    if theta_dev >= TWO_PI:
         return [_inconclusive("BMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
+    sides = _bmi_sides(A_pts, B_pts, table, theta_dev, s_values, r, h)
     return [InequalityReport.build(
         "BMI", s, lhs=lhs, rhs=rhs, margin=lhs - rhs, stderr=np.hypot(lhs_err, rhs_err),
         note=f"N={N} r={r:g} h={h:g}; volumes share one estimator", extras=extras)
@@ -348,14 +346,15 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     mu0 = normalized_measure(A, N, seed)
     mu1 = normalized_measure(B, N, seed + 1)
     C = cost_matrix(mu0, mu1, want_chi=True)
-    sides = _bmi_sides(mu0.points, mu1.points, C.table, s_values, r, h)
-    if sides is None:
+    theta_dev = theta_deviation(mu0.points, mu1.points, table=C.table)
+    if theta_dev >= TWO_PI:
         return [_inconclusive("SBMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
     try:
         gp = geodesic_plan(mu0, mu1, C=C)
     except NonUniqueGeodesic as err:
         return [_inconclusive("SBMI", s, f"center pairs in the optimal plan: {err}")
                 for s in s_values]
+    sides = _bmi_sides(mu0.points, mu1.points, C.table, theta_dev, s_values, r, h)
 
     d = 2 * mu0.n + 1
     reports = []

@@ -190,6 +190,74 @@ class TestDensityAndEntropy:
         vol = estimate_volume(pts, r=0.0, h=h, bound=bound).volume
         assert ent >= -vol ** (1.0 / 3.0) - 1e-12
 
+    @pytest.mark.parametrize("n_boot", [-1, 0, 1])
+    def test_bootstrap_needs_two_replicates(self, n_boot):
+        m = normalized_measure(BoxRegion.unit(1), 50, seed=4)
+        with pytest.raises(ValueError, match="2 replicates"):
+            renyi_entropy_estimate(m, 0.1, n_boot=n_boot)
+
+
+def entropy_reference(m, h, n_boot, seed):
+    """`renyi_entropy_estimate` as a per-replicate loop that bins every
+    bootstrap cloud from scratch on both grids."""
+    d = m.points.shape[1]
+    k = 2.0 ** d
+
+    def corrected(points, weights):
+        e1 = measures._entropy(weights, measures._histogram_density(points, weights, h), d)
+        e2 = measures._entropy(weights, measures._histogram_density(points, weights, 2.0 * h), d)
+        return (k * e2 - e1) / (k - 1.0), e1, e2
+
+    value, e1, e2 = corrected(m.points, m.weights)
+    rng = measures._rng(seed ^ 0xB007)
+    N = len(m.points)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        pick = rng.choice(N, size=N, replace=True, p=m.weights)
+        boots[b], _, _ = corrected(m.points[pick], np.full(N, 1.0 / N))
+    guard = abs(e2 - e1) / (k - 1.0)
+    return float(value), float(np.sqrt(np.var(boots) + guard * guard))
+
+
+@st.composite
+def entropy_cases(draw):
+    """A weighted cloud in H^n (n = 1, 2) whose rows repeat, with a cell size."""
+    n = draw(st.integers(1, 2))
+    N = draw(st.integers(1, 300))
+    distinct = draw(st.integers(1, N))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.uniform(-scale, scale, (distinct, 2 * n + 1))
+    points = rows[rng.integers(distinct, size=N)]
+    w = rng.uniform(0.05, 1.0, N) ** draw(st.sampled_from([0.0, 1.0, 4.0]))
+    m = DiscreteMeasure(points, w / w.sum())
+    h = draw(st.floats(1e-6, 10.0))
+    return m, h
+
+
+class TestEntropyAgainstReference:
+    @settings(deadline=None, max_examples=120)
+    @given(entropy_cases(), st.integers(0, 2 ** 16), st.sampled_from([2, 3, 24]))
+    def test_bit_identical_to_per_replicate_binning(self, case, seed, n_boot):
+        m, h = case
+        got = renyi_entropy_estimate(m, h, n_boot=n_boot, seed=seed)
+        want = entropy_reference(m, h, n_boot, seed)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n_boot", [2, 24])
+    def test_bins_each_grid_once(self, monkeypatch, n_boot):
+        calls = []
+        cell_index = measures._cell_index
+
+        def counting(points, h):
+            calls.append(h)
+            return cell_index(points, h)
+
+        monkeypatch.setattr(measures, "_cell_index", counting)
+        renyi_entropy_estimate(normalized_measure(BoxRegion.unit(1), 200, seed=6), 0.1,
+                               n_boot=n_boot)
+        assert sorted(calls) == [0.1, 0.2]
+
 
 class TestThetaDeviation:
     def test_overlap_gives_zero(self):

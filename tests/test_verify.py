@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heis import verify
 from heis.distortion import p_mean, tau_tilde
 from heis.geodesy import TWO_PI, angle, midpoint
 from heis.measures import BoxRegion, DiscreteMeasure, UnionRegion, normalized_measure
@@ -217,8 +218,18 @@ class TestDegenerateReports:
         assert bmi[0].extras["theta"] < TWO_PI
         assert_inconclusive(verify_cd_sweep(UNIT, UNIT, self.S, N=20, seed=2, h=0.1),
                             "CD", self.S, "center pairs in the optimal plan")
+        # the plan is solved before any volume is estimated
+        volumes = []
+        estimate_volume = verify.estimate_volume
+
+        def counting(*args):
+            volumes.append(args)
+            return estimate_volume(*args)
+
+        monkeypatch.setattr(verify, "estimate_volume", counting)
         assert_inconclusive(verify_sbmi_sweep(UNIT, UNIT, self.S, N=20, seed=2, r=0.1, h=0.1),
                             "SBMI", self.S, "center pairs in the optimal plan")
+        assert volumes == []
 
 
 class TestVerifyBbl:
