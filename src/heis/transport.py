@@ -4,8 +4,13 @@ W_2(mu, nu) = (min_pi sum_ij pi_ij d(x_i, y_j)^2)^{1/2} over couplings pi
 with the prescribed marginals.  The exact solver is scipy's HiGHS dual
 simplex on a shortlist of arcs, certified optimal by its duals on the full
 cost matrix; equal-size uniform clouds take the assignment-problem fast
-path (the optimal vertex is then a permutation).  The approximate solver
-is a log-domain Sinkhorn iteration with epsilon-scaling.
+path (the optimal vertex is then a permutation).  Where the rows' cheapest
+columns collide (two clouds apart, not overlapping), that path first
+reduces the cost by the duals of a half-size solve, a warm start for
+scipy's `linear_sum_assignment`; the reduction shifts every permutation's
+cost by one constant, so the plan is the same exact optimum.  The
+approximate solver is a log-domain Sinkhorn iteration with
+epsilon-scaling.
 
 Displacement interpolation evaluates the plan's geodesics at time s:
 mu_s = (T_s)#eta has an atom at the s-intermediate point of every
@@ -41,6 +46,7 @@ __all__ = [
 _MARGINAL_TOL = 1e-9
 _PRUNE = 1e-15
 _SHORTLIST_K = 16  # first-LP candidate arcs per row and per column
+_COLD_ROWS = 64  # assignments up to this size take one cold solve
 # the tightest HiGHS accepts; at its default 1e-7 plans can miss _MARGINAL_TOL
 _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
@@ -210,18 +216,69 @@ def _lp_plan(cost, a, b):
     return ii[pos], jj[pos], res.x[pos]
 
 
+def _assignment_duals(cost, cols):
+    """Duals (u, v) of the optimal assignment i -> cols[i] of a square cost:
+    u_i + v_j <= c_ij, with equality on the assignment.
+
+    v is the shortest-path potential of the residual graph on the columns
+    (arc cols[i] -> j of weight c_ij - c_{i,cols[i]}), found by dense
+    label-correcting Bellman-Ford passes from v = 0; u follows from the
+    assigned arcs.  Rounding can leave a residual cycle a few ulps
+    negative, so the passes stop after 2m even if labels still move.
+    """
+    m = len(cols)
+    assigned = cost[np.arange(m), cols]
+    arcs = cost - assigned[:, None]
+    v = np.zeros(m)
+    for _ in range(2 * m):
+        nv = np.minimum(v, np.min(v[cols][:, None] + arcs, axis=0))
+        if np.array_equal(nv, v):
+            break
+        v = nv
+    return assigned - v[cols], v
+
+
+def _assignment(cost):
+    """Optimal assignment (rows, cols) of a square cost: the optimum of
+    `linear_sum_assignment(cost)`, the same permutation unless several tie.
+
+    Where many rows share their cheapest column, scipy's cold start makes
+    long augmenting paths.  There the duals of the stride-2 sub-problem
+    (solved the same way, down to `_COLD_ROWS` rows), c-transformed to every
+    row and column, reduce the cost first.  Every permutation's reduced
+    cost is its cost minus the same constant sum(u) + sum(v), so the
+    solver's optimum is the same plan; the duals only shorten its search.
+    Non-finite costs keep the cold call, and with it scipy's errors.
+    """
+    n = len(cost)
+    if (n <= _COLD_ROWS or not np.isfinite(cost).all()
+            or 2 * np.unique(np.argmin(cost, axis=1)).size >= n):
+        return linear_sum_assignment(cost)
+    sub = cost[::2, ::2]
+    _, cols = _assignment(sub)
+    _, v_sub = _assignment_duals(sub, cols)
+    u = np.min(cost[:, ::2] - v_sub[None, :], axis=1)
+    v = np.min(cost - u[:, None], axis=0)
+    return linear_sum_assignment(cost - u[:, None] - v[None, :])
+
+
 def solve_exact(C: CostMatrix, src_weights, tgt_weights) -> TransportPlan:
     """Exact minimizer of sum pi_ij c_ij subject to the marginals.
 
     Equal-size uniform clouds dispatch to the assignment problem (the
-    optimal basic solution is a permutation); everything else solves the LP
-    with the HiGHS dual simplex on an arc shortlist whose optimality is
-    certified on the full cost matrix (`_lp_plan`).  Both paths are
-    deterministic.
+    optimal basic solution is a permutation), solved by scipy's
+    `linear_sum_assignment` (`_assignment`).  Above 64 atoms, when fewer
+    than half of the rows have a distinct cheapest column, it is warm
+    started: the cost is reduced by c-transformed duals of the stride-2
+    sub-problem.  That subtracts the same constant from every permutation's
+    cost, so the optimum, and the exactness, are scipy's; every other
+    input takes one cold call.  Everything else solves the LP with the
+    HiGHS dual simplex on an arc shortlist whose optimality is certified on
+    the full cost matrix (`_lp_plan`).  Both paths are deterministic.
     """
     a, b = _check_weights(C, src_weights, tgt_weights)
     if len(a) == len(b) and np.all(a == a[0]) and np.all(b == a[0]):
-        i, j = (v.astype(np.int64) for v in linear_sum_assignment(C.cost))
+        i, j = (v.astype(np.int64) for v in _assignment(C.cost))
         mass = np.full(len(i), a[0])
     else:
         i, j, mass = _lp_plan(C.cost, a, b)

@@ -1,8 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linear_sum_assignment
 
@@ -286,6 +287,134 @@ class TestSolveExact:
         assert np.array_equal(back.i, plan.i)
         assert np.array_equal(back.mass, plan.mass)
         assert back.cost == plan.cost
+
+
+def box_clouds(n, seed, kind, far=0.0, atoms=0):
+    """Two n-point clouds in unit boxes of H^1: `identical`, or the target 2
+    apart along x1 (`offset`); both translated by `far` along x1 and x2
+    (|zeta| up to about 1.4 far).
+    With atoms > 0 each cloud repeats `atoms` distinct points (exact ties)."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        pts = rng.random((atoms or n, 3))
+        return pts[rng.integers(0, atoms, n)] if atoms else pts
+
+    src, tgt = draw(), draw()
+    if kind == "offset":
+        tgt[:, 0] += 2.0
+    src[:, :2] += far
+    tgt[:, :2] += far
+    return measure(src), measure(tgt)
+
+
+@pytest.fixture
+def lsa_sizes(monkeypatch):
+    """Sizes of the `linear_sum_assignment` calls transport makes."""
+    sizes = []
+
+    def counting(cost, lsa=transport.linear_sum_assignment):
+        sizes.append(len(cost))
+        return lsa(cost)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", counting)
+    return sizes
+
+
+class TestWarmAssignment:
+    """`_assignment` against scipy's cold `linear_sum_assignment`."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["identical", "offset"]),
+           st.sampled_from([0.0, 1.0, 30.0, 700.0]), st.booleans())
+    @example(1, 0, "offset", 0.0, False)
+    @example(2, 0, "offset", 0.0, False)
+    @example(65, 1, "offset", 0.0, False)
+    @example(131, 2, "offset", 700.0, False)
+    @example(200, 3, "offset", 0.0, True)
+    def test_matches_cold_solve(self, n, seed, kind, far, tied):
+        mu, nu = box_clouds(n, seed, kind, far, atoms=max(1, n // 3) if tied else 0)
+        cost = cost_matrix(mu, nu).cost
+        rows, cols = transport._assignment(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows)
+        if tied:
+            # duplicated atoms tie several permutations; only the cost is unique
+            got, want = cost[rows, cols].sum(), cost[want_rows, want_cols].sum()
+            assert abs(got - want) <= 1e-12 * want
+        else:
+            assert np.array_equal(cols, want_cols)
+
+    def test_cd_sweep_in_h2_matches_cold_solve(self, monkeypatch, lsa_sizes):
+        from heis.verify import verify_cd_sweep
+
+        A, B = BoxRegion.unit(2), BoxRegion.shifted([2.0, 0, 0, 0, 0], n=2)
+
+        def sweep():
+            reps = verify_cd_sweep(A, B, [0.0, 0.5, 1.0], N=140, seed=5, h=0.25)
+            return [rep.to_json() for rep in reps]
+
+        warm = sweep()
+        assert lsa_sizes == [35, 70, 140]  # the warm branch ran, two levels deep
+        monkeypatch.setattr(transport, "_assignment", linear_sum_assignment)
+        assert warm == sweep()
+
+    def test_duals_feasible_and_tight(self):
+        rng = np.random.default_rng(40)
+        mu, nu = box_clouds(90, 41, "offset")
+        tied = rng.random((7, 30))[rng.integers(0, 7, 30)]  # repeated rows
+        for cost in (cost_matrix(mu, nu).cost, tied, 1e3 * rng.random((50, 50))):
+            _, cols = linear_sum_assignment(cost)
+            u, v = transport._assignment_duals(cost, cols)
+            tol = 1e-12 * np.max(np.abs(cost))
+            assert np.all(u[:, None] + v[None, :] <= cost + tol)
+            assert np.all(np.abs(u + v[cols] - cost[np.arange(len(cols)), cols]) <= tol)
+
+    @pytest.mark.parametrize("m", [2, 40])
+    def test_duals_stop_at_the_pass_cap(self, monkeypatch, m):
+        # an assignment one ulp above the optimum, as rounding can leave it:
+        # its residual graph has a cycle of weight -1 ulp, so labels keep
+        # falling and only the 2m-pass cap ends the passes
+        rng = np.random.default_rng(m)
+        cost = 1.0 + rng.random((m, m))
+        np.fill_diagonal(cost, 0.0)
+        cols = np.arange(m)
+        cost[0, 0] = cost[1, 1] = cost[0, 1] = 1.0
+        cost[1, 0] = np.nextafter(1.0, 0.0)
+        passes = []
+
+        def counting(x, y, equal=np.array_equal):
+            passes.append(1)
+            return equal(x, y)
+
+        monkeypatch.setattr(np, "array_equal", counting)
+        u, v = transport._assignment_duals(cost, cols)
+        assert len(passes) == 2 * m
+        tol = 1e-12 * np.max(cost)
+        assert np.all(u[:, None] + v[None, :] <= cost + tol)
+        assert np.all(np.abs(u + v[cols] - cost[np.arange(m), cols]) <= tol)
+
+    def test_gate(self, lsa_sizes):
+        # identical boxes: 61 % of the rows have a distinct cheapest column
+        for kind, want in (("identical", [200]), ("offset", [50, 100, 200])):
+            lsa_sizes.clear()
+            transport._assignment(cost_matrix(*box_clouds(200, 7, kind)).cost)
+            assert lsa_sizes == want
+
+    @pytest.mark.parametrize("bad", ["nan", "inf_row"])
+    def test_non_finite_cost_raises_as_cold_solve(self, bad):
+        mu, nu = box_clouds(200, 8, "offset")
+        C = cost_matrix(mu, nu)
+        if bad == "nan":
+            C.cost[3, 5] = np.nan
+        else:
+            C.cost[3, :] = np.inf
+        with pytest.raises(Exception) as cold:
+            linear_sum_assignment(C.cost)
+        w = np.full(200, 1.0 / 200)
+        with pytest.raises(cold.type, match=re.escape(str(cold.value))):
+            solve_exact(C, w, w)
 
 
 class TestSinkhorn:
