@@ -4,12 +4,14 @@ W_2(mu, nu) = (min_pi sum_ij pi_ij d(x_i, y_j)^2)^{1/2} over couplings pi
 with the prescribed marginals.  The exact solver is scipy's HiGHS dual
 simplex on a shortlist of arcs, certified optimal by its duals on the full
 cost matrix; equal-size uniform clouds take the assignment-problem fast
-path (the optimal vertex is then a permutation).  Where the rows' cheapest
-columns collide (two clouds apart, not overlapping), that path first
-reduces the cost by the duals of a half-size solve, a warm start for
-scipy's `linear_sum_assignment`; the reduction shifts every permutation's
-cost by one constant, so the plan is the same exact optimum.  The
-approximate solver is a log-domain Sinkhorn iteration with
+path (the optimal vertex is then a permutation).  Both paths, above 64
+atoms, start from the duals of the stride-2 sub-problem, c-transformed to
+the whole matrix (`_coarse_reduced`): the LP takes the arcs cheapest in
+that reduced cost as its first shortlist, and the assignment, where the
+rows' cheapest columns collide, solves the reduced cost.  The duals steer
+the search only: the LP is certified on the raw cost, and the reduction
+shifts every permutation's cost by one constant, so both plans are exact
+optima.  The approximate solver is a log-domain Sinkhorn iteration with
 epsilon-scaling.
 
 Displacement interpolation evaluates the plan's geodesics at time s:
@@ -46,7 +48,7 @@ __all__ = [
 _MARGINAL_TOL = 1e-9
 _PRUNE = 1e-15
 _SHORTLIST_K = 16  # first-LP candidate arcs per row and per column
-_COLD_ROWS = 64  # assignments up to this size take one cold solve
+_COLD_ROWS = 64  # exact solves up to this many atoms (LP: on the shorter side) start cold
 # the tightest HiGHS accepts; at its default 1e-7 plans can miss _MARGINAL_TOL
 _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
@@ -62,10 +64,9 @@ class SinkhornError(RuntimeError):
 
 @dataclass
 class CostMatrix:
-    """Pairwise squared CC distances with the angles cached alongside."""
+    """Pairwise squared CC distances, with the pair table they came from."""
 
     cost: np.ndarray     # (rows, cols) d(x_i, y_j)^2
-    angles: np.ndarray   # (rows, cols) |theta(x_i, y_j)|
     table: PairTable | None = None
 
     @property
@@ -79,10 +80,10 @@ class CostMatrix:
 
 def cost_matrix(src: DiscreteMeasure, tgt: DiscreteMeasure,
                 want_chi: bool = False) -> CostMatrix:
-    """All-pairs d^2 and angles between two clouds (deterministic)."""
+    """All-pairs d^2 between two clouds (deterministic)."""
     core.check_same_dim(src.points, tgt.points)
     table = geodesy.pair_table(src.points, tgt.points, want_chi=want_chi)
-    return CostMatrix(cost=table.dist ** 2, angles=np.abs(table.theta), table=table)
+    return CostMatrix(cost=table.dist ** 2, table=table)
 
 
 @dataclass
@@ -184,15 +185,26 @@ def _cheapest(values, k):
 def _lp_plan(cost, a, b):
     """Exact transportation LP: HiGHS dual simplex on a certified arc shortlist.
 
-    The shortlist starts with each row's and column's `_SHORTLIST_K` cheapest
-    arcs and the northwest-corner arcs (so that the LP is feasible).  Each
-    round, each row's and column's most negative arc outside it under the
-    duals y, c_ij - y_i - y_{m+j} < -tol, joins it; when none is left, no arc
-    may price below -tol, which certifies the plan optimal.
+    Returns the plan's arcs and masses (i, j, mass) and the LP duals y (m
+    row duals, then n column duals).  The shortlist starts with the
+    northwest-corner arcs (so that the LP is feasible) and each row's and
+    column's `_SHORTLIST_K` cheapest arcs: cheapest in the raw cost, or,
+    above `_COLD_ROWS` atoms on the shorter side with every cost finite, in
+    the cost reduced by the duals of the stride-2 sub-problem (solved the
+    same way, its marginals renormalised; `_coarse_reduced`).  Each round,
+    each row's and column's most negative arc outside it under the duals y,
+    c_ij - y_i - y_{m+j} < -tol, joins it; when none is left, no arc of the
+    full raw cost may price below -tol, which certifies the plan optimal.
+    The duals only pick the first shortlist, so the certificate does not
+    rest on them.
     """
     m, n = cost.shape
     tol = 1e-11 * max(1.0, float(np.max(np.abs(cost))))
-    keep = _cheapest(cost, _SHORTLIST_K)
+    ranked = cost
+    if min(m, n) > _COLD_ROWS and np.isfinite(cost).all():
+        a_sub, b_sub = a[::2] / a[::2].sum(), b[::2] / b[::2].sum()
+        ranked = _coarse_reduced(cost, lambda sub: _lp_plan(sub, a_sub, b_sub)[3][len(a_sub):])
+    keep = _cheapest(ranked, _SHORTLIST_K)
     keep[_northwest_corner(a, b)] = True
     while True:
         ii, jj = np.nonzero(keep)
@@ -213,7 +225,24 @@ def _lp_plan(cost, a, b):
     if reduced.min() < -tol:
         raise RuntimeError(f"LP plan not certified: reduced cost {reduced.min():.3e} < -{tol:.3e}")
     pos = res.x > 0
-    return ii[pos], jj[pos], res.x[pos]
+    return ii[pos], jj[pos], res.x[pos], y
+
+
+def _coarse_reduced(cost, col_duals):
+    """`cost` reduced by duals taken from its stride-2 sub-problem.
+
+    `col_duals(sub)` returns the column duals v of an optimal solution of
+    sub = cost[::2, ::2].  Their c-transform to every row, u_i =
+    min_k c_{i,2k} - v_k, then to every column, v_j = min_i c_ij - u_i, is
+    dual feasible on the whole matrix, so the reduced cost c_ij - u_i - v_j
+    is >= 0, and it is near 0 on the arcs the coarse plan suggests.  Every
+    coupling's reduced cost is its cost minus the same constant
+    sum(u a) + sum(v b): the duals steer a solver's search, not its optimum.
+    """
+    v_sub = col_duals(cost[::2, ::2])
+    u = np.min(cost[:, ::2] - v_sub[None, :], axis=1)
+    v = np.min(cost - u[:, None], axis=0)
+    return cost - u[:, None] - v[None, :]
 
 
 def _assignment_duals(cost, cols):
@@ -245,21 +274,18 @@ def _assignment(cost):
     Where many rows share their cheapest column, scipy's cold start makes
     long augmenting paths.  There the duals of the stride-2 sub-problem
     (solved the same way, down to `_COLD_ROWS` rows), c-transformed to every
-    row and column, reduce the cost first.  Every permutation's reduced
-    cost is its cost minus the same constant sum(u) + sum(v), so the
-    solver's optimum is the same plan; the duals only shorten its search.
+    row and column, reduce the cost first (`_coarse_reduced`).  Every
+    permutation's reduced cost is its cost minus the same constant
+    sum(u) + sum(v), so the solver's optimum is the same plan; the duals
+    only shorten its search.
     Non-finite costs keep the cold call, and with it scipy's errors.
     """
     n = len(cost)
     if (n <= _COLD_ROWS or not np.isfinite(cost).all()
             or 2 * np.unique(np.argmin(cost, axis=1)).size >= n):
         return linear_sum_assignment(cost)
-    sub = cost[::2, ::2]
-    _, cols = _assignment(sub)
-    _, v_sub = _assignment_duals(sub, cols)
-    u = np.min(cost[:, ::2] - v_sub[None, :], axis=1)
-    v = np.min(cost - u[:, None], axis=0)
-    return linear_sum_assignment(cost - u[:, None] - v[None, :])
+    return linear_sum_assignment(_coarse_reduced(
+        cost, lambda sub: _assignment_duals(sub, _assignment(sub)[1])[1]))
 
 
 def solve_exact(C: CostMatrix, src_weights, tgt_weights) -> TransportPlan:
@@ -274,14 +300,17 @@ def solve_exact(C: CostMatrix, src_weights, tgt_weights) -> TransportPlan:
     cost, so the optimum, and the exactness, are scipy's; every other
     input takes one cold call.  Everything else solves the LP with the
     HiGHS dual simplex on an arc shortlist whose optimality is certified on
-    the full cost matrix (`_lp_plan`).  Both paths are deterministic.
+    the full cost matrix (`_lp_plan`).  Above 64 atoms on the shorter side
+    the first shortlist comes from the same c-transformed duals of the
+    stride-2 sub-problem; the certificate is unchanged.  Both paths are
+    deterministic.
     """
     a, b = _check_weights(C, src_weights, tgt_weights)
     if len(a) == len(b) and np.all(a == a[0]) and np.all(b == a[0]):
         i, j = (v.astype(np.int64) for v in _assignment(C.cost))
         mass = np.full(len(i), a[0])
     else:
-        i, j, mass = _lp_plan(C.cost, a, b)
+        i, j, mass, _ = _lp_plan(C.cost, a, b)
     cost = float(np.sum(mass * C.cost[i, j]))
     plan = TransportPlan(i=i, j=j, mass=mass, cost=cost, method="exact_lp")
     _assert_marginals(plan, a, b)

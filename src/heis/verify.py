@@ -163,6 +163,11 @@ def _inconclusive(name, s, note, lhs=np.nan, rhs=np.nan) -> InequalityReport:
                             mc_stderr=np.nan, holds="inconclusive", discretization_note=note)
 
 
+def _check_sample_size(N):
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+
+
 def _cloud_bound(points, r, h) -> BoxRegion:
     """A box certainly containing the r-thickened cloud, with a grid's
     worth of slack (grids are origin-anchored, so the bound never shifts
@@ -220,6 +225,7 @@ def verify_cd_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     is the Monte-Carlo spread of the pair terms.  Each report carries a
     JENSEN side-report in extras.
     """
+    _check_sample_size(N)
     mu0 = normalized_measure(A, N, seed)
     mu1 = normalized_measure(B, N, seed + 1)
     C = cost_matrix(mu0, mu1, want_chi=True)
@@ -318,6 +324,7 @@ def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     minimum, which can only overestimate the essential infimum and
     therefore only strengthens the claimed bound.
     """
+    _check_sample_size(N)
     A_pts = sample_uniform(A, N, seed)
     B_pts = sample_uniform(B, N, seed + 1)
     table = geodesy.pair_table(A_pts, B_pts, want_chi=True)
@@ -343,6 +350,7 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     Reports also carry the BMI left side and the containment margin
     lhs_SBMI <= lhs_BMI (the support sits inside the midpoint set).
     """
+    _check_sample_size(N)
     mu0 = normalized_measure(A, N, seed)
     mu1 = normalized_measure(B, N, seed + 1)
     C = cost_matrix(mu0, mu1, want_chi=True)

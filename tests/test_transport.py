@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestCostMatrix:
         C1 = cost_matrix(measure(a), measure(b))
         C2 = cost_matrix(measure(b), measure(a))
         assert np.allclose(C1.cost, C2.cost.T, atol=1e-10)
-        assert np.allclose(C1.angles, C2.angles.T, atol=1e-10)
+        assert np.allclose(np.abs(C1.table.theta), np.abs(C2.table.theta).T, atol=1e-10)
 
 
 class TestSolveExact:
@@ -149,7 +150,7 @@ class TestSolveExact:
                 C = rng.integers(0, 3, (len(p), len(q))).astype(float)
             else:
                 C = rng.random((len(p), len(q)))
-            plan = solve_exact(CostMatrix(C, np.zeros_like(C)), p / D, q / D)
+            plan = solve_exact(CostMatrix(C), p / D, q / D)
             assert abs(plan.cost - replicated_assignment_cost(C, p, q)) <= 1e-12
 
     @settings(deadline=None, max_examples=60)
@@ -162,7 +163,7 @@ class TestSolveExact:
         b = rng.random(n) + 0.05
         a /= a.sum()
         b /= b.sum()
-        plan = solve_exact(CostMatrix(C, np.zeros_like(C)), a, b)
+        plan = solve_exact(CostMatrix(C), a, b)
         assert len(plan) <= m + n - 1
         assert np.max(np.abs(plan.row_sums(m) - a)) <= 1e-9
         assert np.max(np.abs(plan.col_sums(n) - b)) <= 1e-9
@@ -185,7 +186,7 @@ class TestSolveExact:
             return solves[-1]
 
         monkeypatch.setattr(transport, "linprog", recording_linprog)
-        plan = solve_exact(CostMatrix(C, np.zeros_like(C)), p / p.sum(), q / p.sum())
+        plan = solve_exact(CostMatrix(C), p / p.sum(), q / p.sum())
         assert len(solves) >= 2
         y = solves[-1].eqlin.marginals
         assert np.min(C - y[:m, None] - y[None, m:]) >= -1e-11 * np.max(C)
@@ -196,7 +197,7 @@ class TestSolveExact:
         monkeypatch.setattr(transport, "linprog", lambda *args, **kw: OptimizeResult(
             status=4, message="Numerical difficulties encountered."))
         with pytest.raises(RuntimeError, match="Numerical difficulties"):
-            solve_exact(CostMatrix(C, np.zeros_like(C)), [0.2, 0.3, 0.5], [0.6, 0.4])
+            solve_exact(CostMatrix(C), [0.2, 0.3, 0.5], [0.6, 0.4])
 
     def test_uncertified_duals_raise(self, monkeypatch):
         # raising y_0 by 1 prices row 0's basic arcs at -1; on a matrix this
@@ -210,7 +211,7 @@ class TestSolveExact:
 
         monkeypatch.setattr(transport, "linprog", shifted_duals)
         with pytest.raises(RuntimeError, match="not certified"):
-            solve_exact(CostMatrix(C, np.zeros_like(C)), [0.2, 0.3, 0.5], [0.6, 0.4])
+            solve_exact(CostMatrix(C), [0.2, 0.3, 0.5], [0.6, 0.4])
 
     def test_deterministic_across_calls_and_workers(self, monkeypatch):
         # 1024-pair chunks split the 60 x 45 pair table between two workers
@@ -289,18 +290,18 @@ class TestSolveExact:
         assert back.cost == plan.cost
 
 
-def box_clouds(n, seed, kind, far=0.0, atoms=0):
-    """Two n-point clouds in unit boxes of H^1: `identical`, or the target 2
-    apart along x1 (`offset`); both translated by `far` along x1 and x2
-    (|zeta| up to about 1.4 far).
+def box_clouds(n, seed, kind, far=0.0, atoms=0, m=None):
+    """Two clouds in unit boxes of H^1, of m (default n) and n points:
+    `identical` boxes, or the target 2 apart along x1 (`offset`); both
+    translated by `far` along x1 and x2 (|zeta| up to about 1.4 far).
     With atoms > 0 each cloud repeats `atoms` distinct points (exact ties)."""
     rng = np.random.default_rng(seed)
 
-    def draw():
-        pts = rng.random((atoms or n, 3))
-        return pts[rng.integers(0, atoms, n)] if atoms else pts
+    def draw(k):
+        pts = rng.random((atoms or k, 3))
+        return pts[rng.integers(0, atoms, k)] if atoms else pts
 
-    src, tgt = draw(), draw()
+    src, tgt = draw(n if m is None else m), draw(n)
     if kind == "offset":
         tgt[:, 0] += 2.0
     src[:, :2] += far
@@ -415,6 +416,112 @@ class TestWarmAssignment:
         w = np.full(200, 1.0 / 200)
         with pytest.raises(cold.type, match=re.escape(str(cold.value))):
             solve_exact(C, w, w)
+
+
+def two_level_grid(shape, flip):
+    """The step-limit marginals: a grid on the unit box of H^1 with density
+    4/3 on one half along x1 and 2/3 on the other."""
+    axes = [(2 * np.arange(k) + 1) / (2.0 * k) for k in shape]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    rho = np.where((pts[:, 0] < 0.5) != flip, 4.0 / 3.0, 2.0 / 3.0)
+    return DiscreteMeasure(pts, rho / rho.sum(), density=rho, density_h=None)
+
+
+@pytest.fixture
+def linprog_b_eq(monkeypatch):
+    """The b_eq (row then column marginals) of each `linprog` call transport makes."""
+    calls = []
+
+    def recording(*args, linprog=transport.linprog, **kw):
+        calls.append(kw["b_eq"])
+        return linprog(*args, **kw)
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    return calls
+
+
+class TestWarmLp:
+    """`_lp_plan` above `_COLD_ROWS` against its cold path."""
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(65, 200), st.integers(65, 200), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["tied", "identical", "offset", "far"]))
+    @example(70, 400, 0, "offset")
+    @example(400, 70, 1, "tied")
+    @example(65, 65, 2, "far")
+    def test_matches_cold_path(self, m, n, seed, kind):
+        if kind == "tied":
+            cost = np.random.default_rng(seed).integers(0, 4, (m, n)).astype(float)
+        else:
+            mu, nu = box_clouds(n, seed, "identical" if kind == "identical" else "offset",
+                                far=30.0 if kind == "far" else 0.0, m=m)
+            cost = cost_matrix(mu, nu).cost
+        rng = np.random.default_rng(seed + 1)
+        a, b = rng.random(m) + 0.05, rng.random(n) + 0.05
+        a /= a.sum()
+        b *= a.sum() / b.sum()
+        i, j, mass, y = transport._lp_plan(cost, a, b)
+        with mock.patch.object(transport, "_COLD_ROWS", 10 ** 9):
+            ci, cj, cmass, _ = transport._lp_plan(cost, a, b)
+        want = np.sum(cmass * cost[ci, cj])
+        assert abs(np.sum(mass * cost[i, j]) - want) <= 1e-12 * max(1.0, want)
+        assert np.max(np.abs(np.bincount(i, weights=mass, minlength=m) - a)) <= 1e-9
+        assert np.max(np.abs(np.bincount(j, weights=mass, minlength=n) - b)) <= 1e-9
+        tol = 1e-11 * max(1.0, np.max(cost))
+        assert np.min(cost - y[:m, None] - y[None, m:]) >= -tol
+
+    def test_stride_two_sub_problem_is_solved(self, linprog_b_eq):
+        m, n = 140, 130
+        mu, nu = box_clouds(n, 50, "offset", m=m)
+        rng = np.random.default_rng(51)
+        a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+        a /= a.sum()
+        b /= b.sum()
+        solve_exact(cost_matrix(mu, nu), a, b)
+        sizes = [len(b_eq) for b_eq in linprog_b_eq]
+        # 140 x 130 -> 70 x 65 -> 35 x 33 (cold), each level's rounds in turn
+        assert sorted(set(sizes), key=sizes.index) == [35 + 33, 70 + 65, 140 + 130]
+        b = b * (a.sum() / b.sum())  # as solve_exact matches the sums
+        sub = next(b_eq for b_eq in linprog_b_eq if len(b_eq) == 70 + 65)
+        assert np.array_equal(sub, np.concatenate([a[::2] / a[::2].sum(), b[::2] / b[::2].sum()]))
+
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (8, 8, 8)], ids=["bench", "c13"])
+    def test_step_limit_bits_match_cold_path(self, monkeypatch, shape):
+        from heis.verify import step_limit_experiment
+
+        calls = []
+
+        def counting(cost, col_duals, reduce=transport._coarse_reduced):
+            calls.append(cost.shape)
+            return reduce(cost, col_duals)
+
+        def run():
+            rows = step_limit_experiment(two_level_grid(shape, False), two_level_grid(shape, True),
+                                         [0, 1, 2, 3, 4, 5], 0.5, K=BoxRegion.unit(1))
+            return [(row.depth, row.w2_error, row.f_value) for row in rows]
+
+        monkeypatch.setattr(transport, "_coarse_reduced", counting)
+        warm = run()
+        assert (int(np.prod(shape)),) * 2 in calls  # the warm branch ran
+        monkeypatch.setattr(transport, "_coarse_reduced", lambda cost, col_duals: cost)
+        assert warm == run()
+
+    @pytest.mark.parametrize("bad", ["inf", "inf_row", "nan_row"])
+    def test_non_finite_cost_keeps_cold_path(self, linprog_b_eq, bad):
+        rng = np.random.default_rng(52)
+        m, n = 100, 90
+        C = rng.random((m, n))
+        if bad == "inf":
+            C[3, 5] = np.inf  # never shortlisted, so the cold path solves around it
+        else:
+            C[3, :] = np.inf if bad == "inf_row" else np.nan
+        a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+        if bad == "inf":
+            solve_exact(CostMatrix(C), a / a.sum(), b / b.sum())
+        else:
+            with pytest.raises(ValueError, match="c must not contain values inf, nan"):
+                solve_exact(CostMatrix(C), a / a.sum(), b / b.sum())
+        assert linprog_b_eq and all(len(b_eq) == m + n for b_eq in linprog_b_eq)
 
 
 class TestSinkhorn:

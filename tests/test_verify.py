@@ -200,6 +200,18 @@ def assert_inconclusive(reps, name, s_values, note):
         assert rep.discretization_note.startswith(note)
 
 
+class TestSampleSize:
+    @pytest.mark.parametrize("sweep, tail", [
+        (verify_cd_sweep, {"h": 0.1}),
+        (verify_bmi_sweep, {"r": 0.1, "h": 0.1}),
+        (verify_sbmi_sweep, {"r": 0.1, "h": 0.1}),
+    ], ids=["cd", "bmi", "sbmi"])
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_no_sample_raises_value_error(self, sweep, tail, N):
+        with pytest.raises(ValueError, match=f"N must be at least 1, got {N}"):
+            sweep(UNIT, OFFSET, [0.5], N=N, seed=1, **tail)
+
+
 class TestDegenerateReports:
     S = [0.25, 0.5]
 
