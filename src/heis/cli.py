@@ -9,7 +9,8 @@
     heis dilate-check --target bmi --lam 2,4 --config cfg.json
     heis step-limit --depths 0,1,2,3 --config cfg.json
 
-Configs are JSON (see ExperimentConfig); HEIS_SEED overrides the seed.
+Configs are JSON (see ExperimentConfig), one file for every command; each
+command takes only the flags it reads.  HEIS_SEED overrides the seed.
 Exit status: 0 when every reported inequality holds or is inconclusive,
 2 when any fails (or a dilation check is inconsistent), 1 on usage errors.
 """
@@ -89,6 +90,9 @@ class ExperimentConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no prefixes: a flag a command lacks must not pass as --help
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -155,10 +159,7 @@ def _exit_code(reports) -> int:
 
 
 def _dry_run(cfg: ExperimentConfig, extra=None) -> int:
-    resolved = cfg.to_json()
-    if extra:
-        resolved.update(extra)
-    print(json.dumps(resolved, indent=2))
+    print(json.dumps({**cfg.to_json(), **(extra or {})}, indent=2))
     return 0
 
 
@@ -308,73 +309,74 @@ def _cmd_dilate_check(args) -> int:
     return 0 if ok else 2
 
 
+# argparse keywords of every shared flag; each command names the ones it reads
+_FLAGS = {"config": {"help": "JSON ExperimentConfig file"}, "N": {"type": int},
+          "seed": {"type": int}, "h": {"type": float}, "r": {"type": float},
+          "s": {"help": "s values: '0.25,0.5' or '0:1:0.25'"},
+          "solver": {"help": "'exact' or 'sinkhorn(eps)'"}, "output": {},
+          "format": {"choices": ("json", "csv")}, "threads": {"type": int, "default": 1},
+          "dry-run": {"action": "store_true"}}
+_SWEEP_FLAGS = "config N seed h r s output format threads dry-run"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="heis", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON ExperimentConfig file")
-        p.add_argument("--N", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--h", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--s", help="s values: '0.25,0.5' or '0:1:0.25'")
-        p.add_argument("--solver", help="'exact' or 'sinkhorn(eps)'; "
-                       "only 'heis transport' accepts sinkhorn")
-        p.add_argument("--output")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--dry-run", action="store_true")
+    def common(p, names):
+        for name in names.split():
+            p.add_argument(f"--{name}", **_FLAGS[name])
 
     p = sub.add_parser("tau", help="distortion coefficient tau^n_s(theta)")
     p.add_argument("n", type=int)
     p.add_argument("s", type=float)
     p.add_argument("theta", type=float)
-    p.add_argument("--dry-run", action="store_true")
+    common(p, "dry-run")
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("distance", help="CC distance between two points")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--dry-run", action="store_true")
+    common(p, "dry-run")
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("geodesic", help="sample a geodesic from the origin")
     p.add_argument("chi", help="JSON array of 2n reals (interleaved complex)")
     p.add_argument("theta", type=float)
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--dry-run", action="store_true")
+    common(p, "dry-run")
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("transport", help="solve transport between A and B")
-    common(p)
+    common(p, "config N seed solver output threads dry-run")
     p.set_defaults(func=_cmd_transport)
 
-    for name in ("verify-cd", "verify-bmi", "verify-sbmi"):
+    for name, flags in (("verify-cd", "config N seed h s output format threads dry-run"),
+                        ("verify-bmi", _SWEEP_FLAGS), ("verify-sbmi", _SWEEP_FLAGS)):
         p = sub.add_parser(name, help=f"run the {name[7:].upper()} verifier")
-        common(p)
+        common(p, flags)
         p.set_defaults(func=_cmd_sweep, target=name[7:])
 
     p = sub.add_parser("verify-bbl", help="Borell-Brascamp-Lieb on indicator grids")
-    common(p)
+    common(p, "config seed s output format dry-run")
     p.add_argument("--p", default="inf")
     p.add_argument("--pairing", choices=("independent", "diagonal"), default="diagonal")
     p.add_argument("--cells", type=int, default=16)
     p.set_defaults(func=_cmd_verify_bbl)
 
     p = sub.add_parser("step-limit", help="step-measure approximation experiment")
-    common(p)
+    common(p, "config N seed s output threads dry-run")
     p.add_argument("--depths", default="0,1,2,3,4,5")
     p.set_defaults(func=_cmd_step_limit)
 
     p = sub.add_parser("sweep", help="sweep s for one verifier")
-    common(p)
+    common(p, _SWEEP_FLAGS)
     p.add_argument("--target", choices=("cd", "bmi", "sbmi"), default="cd")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("dilate-check", help="dilation-invariance consistency check")
-    common(p)
+    common(p, "config N seed h r s threads dry-run")
     p.add_argument("--target", choices=("bmi", "sbmi"), default="bmi")
     p.add_argument("--lam", "--lambda", dest="lam", default="2,4")
     p.set_defaults(func=_cmd_dilate_check)

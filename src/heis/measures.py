@@ -43,6 +43,9 @@ __all__ = [
 
 _MIN_ACCEPT = 1e-4
 _BALL_VOLUME_PROPOSALS = 200_000
+_DISJOINT_PROBES = 512  # sample points per member in a union's overlap check
+_MC_PER_CELL = 6  # stderr probes of the occupancy volume per boundary cell ...
+_MAX_MC_CELLS = 1024  # ... and on at most this many boundary cells
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -248,10 +251,10 @@ class UnionRegion(Region):
             raise ValueError("union members must share n")
         self._check_disjoint()
 
-    def _check_disjoint(self, probes: int = 512):
+    def _check_disjoint(self):
         rng = _rng(0xD157)
         for i, m in enumerate(self.members):
-            pts = m.sample(probes, rng)
+            pts = m.sample(_DISJOINT_PROBES, rng)
             for j, other in enumerate(self.members):
                 if i != j and np.any(other.contains(pts)):
                     raise ValueError(f"union members {i} and {j} overlap")
@@ -831,9 +834,7 @@ def _covered_queries(queries, index, r):
     return covered
 
 
-def estimate_volume(points, r: float, h: float, bound: Region,
-                    mc_per_cell: int = 6, max_mc_cells: int = 1024,
-                    seed: int = 0) -> VolumeEstimate:
+def estimate_volume(points, r: float, h: float, bound: Region) -> VolumeEstimate:
     """Occupancy-grid volume of (union of CC balls B(x_i, r)) within `bound`.
 
     A cell counts as occupied when it contains a sample point or its center
@@ -888,15 +889,15 @@ def estimate_volume(points, r: float, h: float, bound: Region,
     elif r == 0:
         stderr = 0.5 * np.sqrt(n_bnd) * h ** d
     else:
-        rng = _rng(seed ^ 0x0CC0)
+        rng = _rng(0x0CC0)
         bidx = np.nonzero(boundary)[0]
-        if len(bidx) > max_mc_cells:
-            bidx = bidx[np.linspace(0, len(bidx) - 1, max_mc_cells).astype(int)]
+        if len(bidx) > _MAX_MC_CELLS:
+            bidx = bidx[np.linspace(0, len(bidx) - 1, _MAX_MC_CELLS).astype(int)]
         scale = n_bnd / len(bidx)
-        q = (np.repeat(cells_idx[bidx], mc_per_cell, axis=0)
-             + rng.random((len(bidx) * mc_per_cell, d))) * h
+        q = (np.repeat(cells_idx[bidx], _MC_PER_CELL, axis=0)
+             + rng.random((len(bidx) * _MC_PER_CELL, d))) * h
         cov = _covered_queries(q, index, r)
-        f = cov.reshape(len(bidx), mc_per_cell).mean(axis=1)
+        f = cov.reshape(len(bidx), _MC_PER_CELL).mean(axis=1)
         stderr = float(np.sqrt(np.sum(f * (1.0 - f)) * scale) * h ** d)
 
     return VolumeEstimate(float(volume), float(stderr), cells_occupied=len(keys),

@@ -11,8 +11,9 @@ that reduced cost as its first shortlist, and the assignment, where the
 rows' cheapest columns collide, solves the reduced cost.  The duals steer
 the search only: the LP is certified on the raw cost, and the reduction
 shifts every permutation's cost by one constant, so both plans are exact
-optima.  The approximate solver is a log-domain Sinkhorn iteration with
-epsilon-scaling.
+optima.  A cost matrix holding NaN or inf is rejected (ValueError): it
+would let the LP's certificate pass unchecked.  The approximate solver is
+a log-domain Sinkhorn iteration with epsilon-scaling.
 
 Displacement interpolation evaluates the plan's geodesics at time s:
 mu_s = (T_s)#eta has an atom at the s-intermediate point of every
@@ -47,6 +48,7 @@ __all__ = [
 
 _MARGINAL_TOL = 1e-9
 _PRUNE = 1e-15
+_MERGE_TOL = 1e-12  # interpolant atoms this close merge
 _SHORTLIST_K = 16  # first-LP candidate arcs per row and per column
 _COLD_ROWS = 64  # exact solves up to this many atoms (LP: on the shorter side) start cold
 # the tightest HiGHS accepts; at its default 1e-7 plans can miss _MARGINAL_TOL
@@ -143,6 +145,8 @@ def _check_weights(C: CostMatrix, a, b):
     b = np.asarray(b, dtype=float)
     if len(a) != C.rows or len(b) != C.cols:
         raise ValueError("weight vectors do not match the cost matrix")
+    if not np.isfinite(C.cost).all():
+        raise ValueError("cost matrix must be finite")
     if np.any(a <= 0) or np.any(b <= 0):
         raise ValueError("weights must be positive")
     if abs(a.sum() - b.sum()) > _MARGINAL_TOL:
@@ -189,9 +193,9 @@ def _lp_plan(cost, a, b):
     row duals, then n column duals).  The shortlist starts with the
     northwest-corner arcs (so that the LP is feasible) and each row's and
     column's `_SHORTLIST_K` cheapest arcs: cheapest in the raw cost, or,
-    above `_COLD_ROWS` atoms on the shorter side with every cost finite, in
-    the cost reduced by the duals of the stride-2 sub-problem (solved the
-    same way, its marginals renormalised; `_coarse_reduced`).  Each round,
+    above `_COLD_ROWS` atoms on the shorter side, in the cost reduced by
+    the duals of the stride-2 sub-problem (solved the same way, its
+    marginals renormalised; `_coarse_reduced`).  Each round,
     each row's and column's most negative arc outside it under the duals y,
     c_ij - y_i - y_{m+j} < -tol, joins it; when none is left, no arc of the
     full raw cost may price below -tol, which certifies the plan optimal.
@@ -201,7 +205,7 @@ def _lp_plan(cost, a, b):
     m, n = cost.shape
     tol = 1e-11 * max(1.0, float(np.max(np.abs(cost))))
     ranked = cost
-    if min(m, n) > _COLD_ROWS and np.isfinite(cost).all():
+    if min(m, n) > _COLD_ROWS:
         a_sub, b_sub = a[::2] / a[::2].sum(), b[::2] / b[::2].sum()
         ranked = _coarse_reduced(cost, lambda sub: _lp_plan(sub, a_sub, b_sub)[3][len(a_sub):])
     keep = _cheapest(ranked, _SHORTLIST_K)
@@ -278,11 +282,9 @@ def _assignment(cost):
     permutation's reduced cost is its cost minus the same constant
     sum(u) + sum(v), so the solver's optimum is the same plan; the duals
     only shorten its search.
-    Non-finite costs keep the cold call, and with it scipy's errors.
     """
     n = len(cost)
-    if (n <= _COLD_ROWS or not np.isfinite(cost).all()
-            or 2 * np.unique(np.argmin(cost, axis=1)).size >= n):
+    if n <= _COLD_ROWS or 2 * np.unique(np.argmin(cost, axis=1)).size >= n:
         return linear_sum_assignment(cost)
     return linear_sum_assignment(_coarse_reduced(
         cost, lambda sub: _assignment_duals(sub, _assignment(sub)[1])[1]))
@@ -303,7 +305,7 @@ def solve_exact(C: CostMatrix, src_weights, tgt_weights) -> TransportPlan:
     the full cost matrix (`_lp_plan`).  Above 64 atoms on the shorter side
     the first shortlist comes from the same c-transformed duals of the
     stride-2 sub-problem; the certificate is unchanged.  Both paths are
-    deterministic.
+    deterministic.  A cost matrix holding NaN or inf raises ValueError.
     """
     a, b = _check_weights(C, src_weights, tgt_weights)
     if len(a) == len(b) and np.all(a == a[0]) and np.all(b == a[0]):
@@ -438,7 +440,7 @@ def geodesic_plan(src: DiscreteMeasure, tgt: DiscreteMeasure,
     return GeodesicPlan(plan=plan, source=src, target=tgt, table=C.table)
 
 
-def interpolate(gp: GeodesicPlan, s: float, merge_tol: float = 1e-12) -> DiscreteMeasure:
+def interpolate(gp: GeodesicPlan, s: float) -> DiscreteMeasure:
     """mu_s = (T_s)#eta: an atom of mass pi_ij at the s-intermediate point
     of each supported pair; coincident midpoints merge by weight addition.
     s = 0 and s = 1 reproduce the marginals exactly."""
@@ -453,7 +455,7 @@ def interpolate(gp: GeodesicPlan, s: float, merge_tol: float = 1e-12) -> Discret
     ii, jj = gp.plan.i, gp.plan.j
     zeta, t = geodesy._gamma_arrays(s, gp.table.chi[ii, jj], gp.table.theta[ii, jj])
     pts = core.group_mul(gp.source.points[ii], core.from_complex(zeta, t))
-    keys = geodesy._merge_keys(pts, merge_tol)
+    keys = geodesy._merge_keys(pts, _MERGE_TOL)
     _, uniq_idx, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     mass = np.bincount(inv, weights=gp.plan.mass)
     return DiscreteMeasure(pts[uniq_idx], mass / mass.sum())

@@ -31,11 +31,11 @@ from .measures import (
     normalized_measure,
     renyi_entropy,
     renyi_entropy_estimate,
-    sample_uniform,
     step_approximate,
     theta_deviation,
 )
 from .transport import (
+    CostMatrix,
     TransportPlan,
     cost_matrix,
     geodesic_plan,
@@ -87,12 +87,12 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
     @staticmethod
-    def classify(margin: float, stderr: float, k: float = K_SIGMA) -> str:
+    def classify(margin: float, stderr: float) -> str:
         if stderr == 0.0:
             return "holds" if margin >= 0 else "fails"
-        if abs(margin) < k * stderr:
+        if abs(margin) < K_SIGMA * stderr:
             return "inconclusive"
-        return "holds" if margin >= k * stderr else "fails"
+        return "holds" if margin >= K_SIGMA * stderr else "fails"
 
     @classmethod
     def build(cls, name, s, lhs, rhs, margin, stderr, note="", extras=None):
@@ -128,10 +128,6 @@ class InequalityReport:
 # the CD functional and verifier
 # ---------------------------------------------------------------------------
 
-def _pair_angles(src_pts, tgt_pts, i, j):
-    return np.abs(geodesy.paired_invert(src_pts[i], tgt_pts[j])[0])
-
-
 def _cd_terms(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure,
               s: float, angles: np.ndarray) -> np.ndarray:
     """The pair terms of F^n_s, so that F^n_s = -sum_ij pi_ij terms_ij."""
@@ -141,7 +137,7 @@ def _cd_terms(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure,
 
 
 def cd_functional(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure,
-                  s: float, angles: np.ndarray | None = None) -> float:
+                  s: float) -> float:
     """F^n_s of the plan:
 
         -sum_ij pi_ij [ tau^n_{1-s}(theta_ij) rho0(x_i)^{-1/(2n+1)}
@@ -152,8 +148,7 @@ def cd_functional(plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasur
     """
     if src.density is None or tgt.density is None:
         raise ValueError("cd_functional needs marginal densities")
-    if angles is None:
-        angles = _pair_angles(src.points, tgt.points, plan.i, plan.j)
+    angles = np.abs(geodesy.paired_invert(src.points[plan.i], tgt.points[plan.j])[0])
     return float(-np.sum(plan.mass * _cd_terms(plan, src, tgt, s, angles)))
 
 
@@ -163,9 +158,22 @@ def _inconclusive(name, s, note, lhs=np.nan, rhs=np.nan) -> InequalityReport:
                             mc_stderr=np.nan, holds="inconclusive", discretization_note=note)
 
 
-def _check_sample_size(N):
+def _sampled_instance(A: Region, B: Region, N: int, seed: int):
+    """Normalized measures on A (seed) and B (seed + 1), and their pair table with chi."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
+    mu0 = normalized_measure(A, N, seed)
+    mu1 = normalized_measure(B, N, seed + 1)
+    return mu0, mu1, geodesy.pair_table(mu0.points, mu1.points, want_chi=True)
+
+
+def _exact_geodesics(name, s_values, mu0, mu1, table):
+    """(exact geodesic plan, None), or (None, inconclusive reports) if it holds center pairs."""
+    try:
+        return geodesic_plan(mu0, mu1, C=CostMatrix(table.dist ** 2, table)), None
+    except NonUniqueGeodesic as err:
+        return None, [_inconclusive(name, s, f"center pairs in the optimal plan: {err}")
+                      for s in s_values]
 
 
 def _cloud_bound(points, r, h) -> BoxRegion:
@@ -225,18 +233,13 @@ def verify_cd_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     is the Monte-Carlo spread of the pair terms.  Each report carries a
     JENSEN side-report in extras.
     """
-    _check_sample_size(N)
-    mu0 = normalized_measure(A, N, seed)
-    mu1 = normalized_measure(B, N, seed + 1)
-    C = cost_matrix(mu0, mu1, want_chi=True)
-    note = f"N={N} h={h:g} exact plan"
-    try:
-        gp = geodesic_plan(mu0, mu1, C=C)
-    except NonUniqueGeodesic as err:
-        return [_inconclusive("CD", s, f"center pairs in the optimal plan: {err}")
-                for s in s_values]
+    mu0, mu1, table = _sampled_instance(A, B, N, seed)
+    gp, degenerate = _exact_geodesics("CD", s_values, mu0, mu1, table)
+    if gp is None:
+        return degenerate
 
-    angles = np.abs(C.table.theta[gp.plan.i, gp.plan.j])
+    note = f"N={N} h={h:g} exact plan"
+    angles = np.abs(table.theta[gp.plan.i, gp.plan.j])
     reports = []
     for s in s_values:
         mu_s = interpolate(gp, s)
@@ -324,14 +327,11 @@ def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     minimum, which can only overestimate the essential infimum and
     therefore only strengthens the claimed bound.
     """
-    _check_sample_size(N)
-    A_pts = sample_uniform(A, N, seed)
-    B_pts = sample_uniform(B, N, seed + 1)
-    table = geodesy.pair_table(A_pts, B_pts, want_chi=True)
-    theta_dev = theta_deviation(A_pts, B_pts, table=table)
+    mu0, mu1, table = _sampled_instance(A, B, N, seed)
+    theta_dev = theta_deviation(mu0.points, mu1.points, table=table)
     if theta_dev >= TWO_PI:
         return [_inconclusive("BMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
-    sides = _bmi_sides(A_pts, B_pts, table, theta_dev, s_values, r, h)
+    sides = _bmi_sides(mu0.points, mu1.points, table, theta_dev, s_values, r, h)
     return [InequalityReport.build(
         "BMI", s, lhs=lhs, rhs=rhs, margin=lhs - rhs, stderr=np.hypot(lhs_err, rhs_err),
         note=f"N={N} r={r:g} h={h:g}; volumes share one estimator", extras=extras)
@@ -350,19 +350,14 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     Reports also carry the BMI left side and the containment margin
     lhs_SBMI <= lhs_BMI (the support sits inside the midpoint set).
     """
-    _check_sample_size(N)
-    mu0 = normalized_measure(A, N, seed)
-    mu1 = normalized_measure(B, N, seed + 1)
-    C = cost_matrix(mu0, mu1, want_chi=True)
-    theta_dev = theta_deviation(mu0.points, mu1.points, table=C.table)
+    mu0, mu1, table = _sampled_instance(A, B, N, seed)
+    theta_dev = theta_deviation(mu0.points, mu1.points, table=table)
     if theta_dev >= TWO_PI:
         return [_inconclusive("SBMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
-    try:
-        gp = geodesic_plan(mu0, mu1, C=C)
-    except NonUniqueGeodesic as err:
-        return [_inconclusive("SBMI", s, f"center pairs in the optimal plan: {err}")
-                for s in s_values]
-    sides = _bmi_sides(mu0.points, mu1.points, C.table, theta_dev, s_values, r, h)
+    gp, degenerate = _exact_geodesics("SBMI", s_values, mu0, mu1, table)
+    if gp is None:
+        return degenerate
+    sides = _bmi_sides(mu0.points, mu1.points, table, theta_dev, s_values, r, h)
 
     d = 2 * mu0.n + 1
     reports = []

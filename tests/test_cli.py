@@ -129,12 +129,32 @@ class TestVerifyCommands:
         ["sweep", "--target", "bmi"], ["dilate-check"], ["step-limit"],
     ])
     def test_non_exact_solver_rejected(self, argv, tmp_path, capsys):
-        assert run_cli(*argv, "--solver", "sinkhorn(0.1)", "--dry-run") == 1
-        assert "runs exact plans only" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(ExperimentConfig(solver="sinkhorn").to_json()))
         assert run_cli(*argv, "--config", str(cfg), "--dry-run") == 1
-        assert run_cli(*argv, "--solver", "exact", "--dry-run") == 0
+        assert "runs exact plans only" in capsys.readouterr().err
+        assert run_cli(*argv, "--dry-run") == 0
+        with pytest.raises(SystemExit) as ei:  # only `transport` takes --solver
+            run_cli(*argv, "--solver", "exact", "--dry-run")
+        assert ei.value.code == 1
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in (
+            ("transport", "--h --r --s --format"),
+            ("verify-cd", "--r --solver"),
+            ("verify-bmi", "--solver"),
+            ("verify-sbmi", "--solver"),
+            ("verify-bbl", "--N --h --r --threads --solver"),
+            ("step-limit", "--h --r --format --solver"),
+            ("sweep", "--solver"),
+            ("dilate-check", "--output --format --solver"),
+        ) for flag in flags.split()])
+    def test_flag_the_command_does_not_read_is_usage_error(self, command, flag, capsys):
+        value = {"--format": "json", "--solver": "exact", "--output": "out.json"}.get(flag, "1")
+        with pytest.raises(SystemExit) as ei:
+            run_cli(command, flag, value, "--dry-run")
+        assert ei.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_transport_honours_sinkhorn(self, tmp_path, capsys):
         out = tmp_path / "plan.json"

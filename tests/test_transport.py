@@ -1,5 +1,4 @@
 import itertools
-import re
 from unittest import mock
 
 import numpy as np
@@ -403,19 +402,6 @@ class TestWarmAssignment:
             transport._assignment(cost_matrix(*box_clouds(200, 7, kind)).cost)
             assert lsa_sizes == want
 
-    @pytest.mark.parametrize("bad", ["nan", "inf_row"])
-    def test_non_finite_cost_raises_as_cold_solve(self, bad):
-        mu, nu = box_clouds(200, 8, "offset")
-        C = cost_matrix(mu, nu)
-        if bad == "nan":
-            C.cost[3, 5] = np.nan
-        else:
-            C.cost[3, :] = np.inf
-        with pytest.raises(Exception) as cold:
-            linear_sum_assignment(C.cost)
-        w = np.full(200, 1.0 / 200)
-        with pytest.raises(cold.type, match=re.escape(str(cold.value))):
-            solve_exact(C, w, w)
 
 
 def two_level_grid(shape, flip):
@@ -506,22 +492,34 @@ class TestWarmLp:
         monkeypatch.setattr(transport, "_coarse_reduced", lambda cost, col_duals: cost)
         assert warm == run()
 
-    @pytest.mark.parametrize("bad", ["inf", "inf_row", "nan_row"])
-    def test_non_finite_cost_keeps_cold_path(self, linprog_b_eq, bad):
-        rng = np.random.default_rng(52)
-        m, n = 100, 90
-        C = rng.random((m, n))
-        if bad == "inf":
-            C[3, 5] = np.inf  # never shortlisted, so the cold path solves around it
+
+class TestNonFiniteCost:
+    @pytest.mark.parametrize("path", ["assignment", "lp"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "inf_row", "nan_row"])
+    def test_rejected_on_both_paths(self, bad, path):
+        C = cost_matrix(*box_clouds(200, 8, "offset"))
+        if bad in ("nan", "inf"):
+            C.cost[3, 5] = float(bad)
         else:
-            C[3, :] = np.inf if bad == "inf_row" else np.nan
-        a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
-        if bad == "inf":
-            solve_exact(CostMatrix(C), a / a.sum(), b / b.sum())
-        else:
-            with pytest.raises(ValueError, match="c must not contain values inf, nan"):
-                solve_exact(CostMatrix(C), a / a.sum(), b / b.sum())
-        assert linprog_b_eq and all(len(b_eq) == m + n for b_eq in linprog_b_eq)
+            C.cost[3, :] = float(bad[:3])
+        a = b = np.full(200, 1.0 / 200)
+        if path == "lp":
+            rng = np.random.default_rng(52)
+            a, b = rng.random(200) + 0.1, rng.random(200) + 0.1
+            a, b = a / a.sum(), b / b.sum()
+        with pytest.raises(ValueError, match="cost matrix must be finite"):
+            solve_exact(C, a, b)
+
+    def test_one_infinite_arc_is_not_certified_vacuously(self):
+        # one infinite arc would make the LP's certificate tolerance
+        # infinite, so any feasible plan would pass as exact
+        mu, nu = box_clouds(50, 0, "offset", m=60)
+        C = cost_matrix(mu, nu)
+        C.cost[7, np.argmax(C.cost[7])] = np.inf
+        rng = np.random.default_rng(1)
+        a, b = rng.random(60) + 0.1, rng.random(50) + 0.1
+        with pytest.raises(ValueError, match="cost matrix must be finite"):
+            solve_exact(C, a / a.sum(), b / b.sum())
 
 
 class TestSinkhorn:
