@@ -158,8 +158,12 @@ def _exit_code(reports) -> int:
     return 2 if any(r.holds == "fails" for r in reports) else 0
 
 
-def _dry_run(cfg: ExperimentConfig, extra=None) -> int:
-    print(json.dumps({**cfg.to_json(), **(extra or {})}, indent=2))
+def _dry_run(cfg: ExperimentConfig, args, extra=None) -> int:
+    """Print the config fields the command reads: n, A, B and those its flags
+    set (each config flag is named after its field, and --s sets s_values)."""
+    read = {"n", "A", "B"} | {"s_values" if k == "s" else k for k in vars(args)}
+    shown = {k: v for k, v in cfg.to_json().items() if k in read}
+    print(json.dumps({**shown, **(extra or {})}, indent=2))
     return 0
 
 
@@ -199,7 +203,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_transport(args) -> int:
     cfg = _load_config(args)
     if args.dry_run:
-        return _dry_run(cfg)
+        return _dry_run(cfg, args)
     method, eps = _parse_solver(cfg.solver)
     mu = normalized_measure(cfg.region_a(), cfg.N, cfg.seed)
     nu = normalized_measure(cfg.region_b(), cfg.N, cfg.seed + 1)
@@ -236,7 +240,7 @@ def _run_verifier(target: str, cfg: ExperimentConfig, A=None, B=None,
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if args.dry_run:
-        return _dry_run(cfg, {"verifier": args.target})
+        return _dry_run(cfg, args, {"verifier": args.target})
     reports = _run_verifier(args.target, cfg)
     _emit(reports, cfg)
     return _exit_code(reports)
@@ -245,7 +249,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_bbl(args) -> int:
     cfg = _load_config(args)
     if args.dry_run:
-        return _dry_run(cfg, {"p": args.p, "pairing": args.pairing})
+        return _dry_run(cfg, args, {"p": args.p, "pairing": args.pairing})
     A, B, n = cfg.region_a(), cfg.region_b(), cfg.n
     hull_a = A.bounding_box().intervals
     hull_b = B.bounding_box().intervals
@@ -270,7 +274,7 @@ def _cmd_step_limit(args) -> int:
     cfg = _load_config(args)
     depths = [int(v) for v in args.depths.split(",")]
     if args.dry_run:
-        return _dry_run(cfg, {"depths": depths})
+        return _dry_run(cfg, args, {"depths": depths})
     mu = normalized_measure(cfg.region_a(), cfg.N, cfg.seed)
     nu = normalized_measure(cfg.region_b(), cfg.N, cfg.seed + 1)
     s = cfg.s_values[len(cfg.s_values) // 2]
@@ -291,7 +295,7 @@ def _cmd_dilate_check(args) -> int:
     cfg = _load_config(args)
     lams = [float(v) for v in args.lam.split(",")]
     if args.dry_run:
-        return _dry_run(cfg, {"lambdas": lams, "verifier": args.target})
+        return _dry_run(cfg, args, {"lambdas": lams, "verifier": args.target})
     base = _run_verifier(args.target, cfg)
     ok = True
     for lam in lams:

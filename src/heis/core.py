@@ -166,8 +166,8 @@ class HPoint:
     def dilated(self, lam: float) -> "HPoint":
         return HPoint(dilate(lam, self.coords))
 
-    def in_center(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coords[:-1]), initial=0.0) <= tol)
+    def in_center(self) -> bool:
+        return not np.any(self.coords[:-1])
 
     def to_json(self) -> list:
         return [float(v) for v in self.coords]

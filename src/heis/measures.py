@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from . import core, geodesy
+from . import core, distortion, geodesy
 
 __all__ = [
     "Region",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 _MIN_ACCEPT = 1e-4
-_BALL_VOLUME_PROPOSALS = 200_000
+_BALL_GAUSS_NODES = 32  # Gauss-Legendre nodes of the unit CC-ball volume integral
 _DISJOINT_PROBES = 512  # sample points per member in a union's overlap check
 _MC_PER_CELL = 6  # stderr probes of the occupancy volume per boundary cell ...
 _MAX_MC_CELLS = 1024  # ... and on at most this many boundary cells
@@ -76,9 +75,6 @@ class Region:
 
     def volume(self) -> float:
         raise NotImplementedError
-
-    def volume_stderr(self) -> float:
-        return 0.0
 
     def bounding_box(self) -> "BoxRegion":
         raise NotImplementedError
@@ -188,24 +184,11 @@ class CCBallRegion(Region):
         iv[-1] = (c[-1] - tw, c[-1] + tw)
         return BoxRegion(iv)
 
-    @cached_property
-    def _mc_acceptance(self) -> tuple[float, float]:
-        """Monte-Carlo acceptance of the bounding box and its stderr, run
-        once per ball: it is a pure function of the ball."""
-        rng = _rng(0x5EED_BA11)
-        box = self.bounding_box()
-        pts = box.sample(_BALL_VOLUME_PROPOSALS, rng)
-        hit = np.count_nonzero(self.contains(pts))
-        p = hit / _BALL_VOLUME_PROPOSALS
-        return p, np.sqrt(p * (1 - p) / _BALL_VOLUME_PROPOSALS)
-
     def volume(self) -> float:
-        p, _ = self._mc_acceptance
-        return p * self.bounding_box().volume()
-
-    def volume_stderr(self) -> float:
-        _, se = self._mc_acceptance
-        return se * self.bounding_box().volume()
+        # Lebesgue measure is left-invariant and scales by lam^{2n+2} under
+        # the dilation delta_lam, so Leb(B(c, r)) = r^{2n+2} Leb(B(0, 1))
+        n = self.n
+        return self.radius ** (2 * n + 2) * _unit_ball_volume(n)
 
     def sample(self, N, rng) -> np.ndarray:
         N = int(N)
@@ -273,9 +256,6 @@ class UnionRegion(Region):
     def volume(self) -> float:
         return float(sum(m.volume() for m in self.members))
 
-    def volume_stderr(self) -> float:
-        return float(np.sqrt(sum(m.volume_stderr() ** 2 for m in self.members)))
-
     def bounding_box(self) -> BoxRegion:
         boxes = [m.bounding_box().intervals for m in self.members]
         lo = np.min([b[:, 0] for b in boxes], axis=0)
@@ -293,6 +273,26 @@ class UnionRegion(Region):
 
     def to_json(self) -> dict:
         return {"kind": "union", "members": [m.to_json() for m in self.members]}
+
+
+_UNIT_BALL_VOLUMES: dict[int, float] = {}
+
+
+def _unit_ball_volume(n: int) -> float:
+    """Leb(B(0, 1)) in H^n, once per n: |S^{2n-1}| / (2n+2) times the
+    integral over theta in (-2pi, 2pi) of J(theta), the Jacobian of the
+    exponential map at a unit chi (its ratios give tau^n_s), where
+    J(2a) = (sin a / a)^{2n-1} F(a) / a^3 and F(a) = sin a - a cos a.  J is
+    entire, so a fixed Gauss-Legendre rule meets adaptive quadrature.
+    """
+    if n not in _UNIT_BALL_VOLUMES:
+        x, w = np.polynomial.legendre.leggauss(_BALL_GAUSS_NODES)
+        a = np.pi / 2.0 * (x + 1.0)
+        jac = np.sinc(a / np.pi) ** (2 * n - 1) * distortion._f_over_cube(a) / 3.0
+        integral = np.pi / 2.0 * float(np.dot(w, jac))
+        sphere = 2.0 * np.pi ** n / np.prod(np.arange(1.0, n))  # |S^{2n-1}|
+        _UNIT_BALL_VOLUMES[n] = float(sphere / (n + 1) * 2.0 * integral)
+    return _UNIT_BALL_VOLUMES[n]
 
 
 def region_from_json(data: dict) -> Region:
@@ -563,9 +563,6 @@ class VolumeEstimate:
     cells_boundary: int = 0
     points_searched: int = 0  # points left for the r-thickening search
 
-    def __iter__(self):  # unpack as (volume, stderr)
-        return iter((self.volume, self.stderr))
-
 
 def _encode(idx, lo, shape):
     return np.ravel_multi_index((idx - lo).T, shape)
@@ -834,8 +831,22 @@ def _covered_queries(queries, index, r):
     return covered
 
 
-def estimate_volume(points, r: float, h: float, bound: Region) -> VolumeEstimate:
-    """Occupancy-grid volume of (union of CC balls B(x_i, r)) within `bound`.
+def _cloud_grid(points, r, h):
+    """Lowest cell index and shape of an origin-anchored grid holding the
+    r-thickened cloud: a point within CC distance r of p has |dzeta| <= r,
+    and its t is within 2 r^2 / pi plus the twist 2 |zeta_p| r of t_p.  The
+    grid covers the cloud's box padded by that reach and two cells, and one
+    cell more at each end."""
+    zmax = float(np.max(np.sqrt(np.sum(points[:, :-1] ** 2, axis=1))))
+    pad = np.full(points.shape[1], r + 2 * h)
+    pad[-1] = 2.0 * r * r / np.pi + 2.0 * (zmax + r) * r + 2 * h
+    lo = np.floor((points.min(axis=0) - pad) / h).astype(np.int64) - 1
+    hi = np.floor((points.max(axis=0) + pad) / h).astype(np.int64) + 2
+    return lo, tuple((hi - lo).tolist())
+
+
+def estimate_volume(points, r: float, h: float) -> VolumeEstimate:
+    """Occupancy-grid volume of the union of CC balls B(x_i, r).
 
     A cell counts as occupied when it contains a sample point or its center
     lies within CC distance r of one (the two notions agree in the limit
@@ -853,14 +864,12 @@ def estimate_volume(points, r: float, h: float, bound: Region) -> VolumeEstimate
     if r > 0 and h > r:
         warnings.warn("grid cell size h exceeds thickening radius r; "
                       "occupancy is under-resolved", stacklevel=2)
-    if not np.all(bound.contains(points)):
-        raise ValueError("all points must lie inside the bound region")
+    core.dim_to_n(points[0])
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
 
     d = points.shape[1]
-    bb = bound.bounding_box().intervals
-    lo = np.floor(bb[:, 0] / h).astype(np.int64) - 1
-    hi = np.floor(bb[:, 1] / h).astype(np.int64) + 2
-    shape = tuple((hi - lo).tolist())
+    lo, shape = _cloud_grid(points, r, h)
 
     idx = _cell_index(points, h)
     base_keys = np.unique(_encode(idx, lo, shape))
@@ -874,12 +883,7 @@ def estimate_volume(points, r: float, h: float, bound: Region) -> VolumeEstimate
     else:
         keys = base_keys
 
-    # keep cells whose center lies inside the bound
     cells_idx = np.stack(np.unravel_index(keys, shape), axis=1) + lo
-    centers = (cells_idx + 0.5) * h
-    inside = bound.contains(centers)
-    keys, cells_idx, centers = keys[inside], cells_idx[inside], centers[inside]
-
     volume = len(keys) * h ** d
     boundary = _boundary_mask(cells_idx, keys, lo, shape)
     n_bnd = int(boundary.sum())

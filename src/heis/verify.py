@@ -176,29 +176,6 @@ def _exact_geodesics(name, s_values, mu0, mu1, table):
                       for s in s_values]
 
 
-def _cloud_bound(points, r, h) -> BoxRegion:
-    """A box certainly containing the r-thickened cloud, with a grid's
-    worth of slack (grids are origin-anchored, so the bound never shifts
-    cell boundaries)."""
-    points = np.atleast_2d(points)
-    zmax = float(np.max(np.sqrt(np.sum(points[:, :-1] ** 2, axis=1))))
-    pad_z = r + 2 * h
-    pad_t = 2.0 * r * r / np.pi + 2.0 * (zmax + r) * r + 2 * h
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    iv = np.stack([lo, hi], axis=1)
-    iv[:-1, 0] -= pad_z
-    iv[:-1, 1] += pad_z
-    iv[-1, 0] -= pad_t
-    iv[-1, 1] += pad_t
-    return BoxRegion(iv)
-
-
-def _volume(points, r, h):
-    """Occupancy volume of the r-thickened cloud within its `_cloud_bound`."""
-    return estimate_volume(points, r, h, _cloud_bound(points, r, h))
-
-
 def _weighted_spread(mass, terms):
     """Stderr of a plan-weighted mean, treating supported pairs as a
     weighted iid sample (effective size 1 / sum mass^2)."""
@@ -213,7 +190,7 @@ def _jensen_report(mu_s: DiscreteMeasure, s, h) -> InequalityReport:
     pair on one grid (the discrete inequality is then exact by Hoelder)."""
     d = mu_s.points.shape[1]
     ent = renyi_entropy(estimate_density(mu_s, h))
-    vol = _volume(mu_s.points, 0.0, h)
+    vol = estimate_volume(mu_s.points, 0.0, h)
     rhs = -vol.volume ** (1.0 / d)
     margin = ent - rhs
     return InequalityReport.build(
@@ -299,13 +276,13 @@ def _bmi_sides(A_pts, B_pts, table, theta_dev, s_values, r, h):
     """Per s, the BMI sides on the sampled midpoint set as (lhs, lhs_err,
     rhs, rhs_err, extras), extras holding Theta = `theta_dev` (< 2pi) and
     the volumes."""
-    volA = _volume(A_pts, r, h)
-    volB = _volume(B_pts, r, h)
+    volA = estimate_volume(A_pts, r, h)
+    volB = estimate_volume(B_pts, r, h)
     n = (A_pts.shape[1] - 1) // 2
     sides = []
     for s in s_values:
         Z = geodesy.midpoint_set(s, A_pts, B_pts, table=table)
-        volZ = _volume(Z.points, r, h)
+        volZ = estimate_volume(Z.points, r, h)
         rhs, rhs_err, tA, tB = _bmi_rhs(n, s, theta_dev, volA.volume, volB.volume,
                                         volA.stderr, volB.stderr)
         sides.append((*_root(volZ, 2 * n + 1), rhs, rhs_err,
@@ -362,7 +339,7 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     d = 2 * mu0.n + 1
     reports = []
     for s, (lhs_bmi, lhs_bmi_err, rhs, rhs_err, bmi) in zip(s_values, sides):
-        volS = _volume(interpolate(gp, s).points, r, h)
+        volS = estimate_volume(interpolate(gp, s).points, r, h)
         lhs, lhs_err = _root(volS, d)
         reports.append(InequalityReport.build(
             "SBMI", s, lhs=lhs, rhs=rhs, margin=lhs - rhs, stderr=np.hypot(lhs_err, rhs_err),
@@ -538,18 +515,23 @@ class StepLimitRow:
     f_value: float
 
 
+def _hull_box(points) -> BoxRegion:
+    """The smallest box holding the points."""
+    return BoxRegion(np.stack([points.min(axis=0), points.max(axis=0)], axis=1))
+
+
 def step_limit_experiment(mu: DiscreteMeasure, nu: DiscreteMeasure,
                           depths, s: float, K: Region | None = None) -> list[StepLimitRow]:
     """Step-approximate both marginals at each depth, re-solve transport,
     and report the approximation error max(W2(step mu, mu), W2(step nu, nu))
     together with F^n_s of the step plan.  The final row (depth None) is
     the un-approximated functional.  K is the partitioned region (default:
-    the support hull of each marginal).
+    the hull box of each marginal's points).
     """
     if mu.density is None or nu.density is None:
         raise ValueError("step_limit_experiment needs bounded measures with densities")
-    K_mu = K if K is not None else _cloud_bound(mu.points, 0.0, 0.0)
-    K_nu = K if K is not None else _cloud_bound(nu.points, 0.0, 0.0)
+    K_mu = K if K is not None else _hull_box(mu.points)
+    K_nu = K if K is not None else _hull_box(nu.points)
     rows = []
     for depth in depths:
         sm_mu = step_approximate(mu, K_mu, depth).as_discrete()

@@ -106,6 +106,14 @@ class TestVerifyCommands:
         assert blob["N"] == 42
         assert blob["verifier"] == "cd"
 
+    @pytest.mark.parametrize("command, shown", [
+        ("verify-bbl", "n A B s_values seed output format p pairing"),
+        ("transport", "n A B N seed solver output"),
+    ])
+    def test_dry_run_shows_only_the_fields_the_command_reads(self, command, shown, capsys):
+        assert run_cli(command, "--dry-run") == 0
+        assert list(json.loads(capsys.readouterr().out)) == shown.split()
+
     def test_config_file_and_env_seed(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(ExperimentConfig(N=64, seed=3).to_json()))

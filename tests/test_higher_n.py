@@ -45,8 +45,7 @@ def test_uniform_entropy_n2():
 
 def test_volume_and_theta_n2():
     pts = sample_uniform(UNIT5, 500, seed=2)
-    bound = BoxRegion(np.array([[-1.0, 2.0]] * 5))
-    est = estimate_volume(pts, 0.0, 0.25, bound)
+    est = estimate_volume(pts, 0.0, 0.25)
     assert 0 < est.volume <= 1.5
     assert theta_deviation(pts[:20], pts[20:40]) >= 0.0
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from heis import core, geodesy, measures, verify
+from heis import core, distortion, geodesy, measures
 from heis.measures import (
     BoxRegion,
     CCBallRegion,
@@ -19,6 +22,9 @@ from heis.measures import (
     step_approximate,
     theta_deviation,
 )
+
+
+BALL_PROPOSALS = 200_000  # bounding-box proposals of the Monte-Carlo ball volume oracle
 
 
 def two_box_union(shift=2.0):
@@ -49,32 +55,41 @@ class TestRegions:
         pts = sample_uniform(ball, 500, seed=5)
         assert np.all(ball.bounding_box().contains(pts))
 
+    @pytest.mark.parametrize("n, want", [
+        (1, 3.303503048836701), (2, 4.823649863843579), (3, 4.619214423014482)])
+    def test_unit_ball_volume_matches_adaptive_quadrature(self, n, want):
+        # want: scipy.integrate.quad of the same integral at epsrel 1e-13
+        def jac(a):
+            return np.sinc(a / np.pi) ** (2 * n - 1) * float(distortion._f_over_cube(a)) / 3.0
+
+        integral, err = quad(jac, 0.0, np.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err < 1e-13 * integral
+        sphere = 2.0 * np.pi ** n / math.factorial(n - 1)
+        assert sphere / (n + 1) * 2.0 * integral == pytest.approx(want, rel=1e-13)
+        got = CCBallRegion(core.origin(n), 1.0).volume()
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("center", [[0.0, 0.0, 0.0], [1.0, -2.0, 0.5],
+                                        [0.3, 0.0, -0.2, 0.4, 1.0]])
+    def test_ball_volume_within_monte_carlo_oracle(self, center):
+        ball = CCBallRegion(np.array(center), 0.8)
+        box = ball.bounding_box()
+        hit = ball.contains(box.sample(BALL_PROPOSALS, np.random.default_rng(5))).mean()
+        sigma = np.sqrt(hit * (1.0 - hit) / BALL_PROPOSALS) * box.volume()
+        assert abs(ball.volume() - hit * box.volume()) <= 3.0 * sigma
+
     def test_ball_volume_scaling(self):
-        # homogeneous dimension 2n+2: vol(B(0, 2r)) = 2^4 vol(B(0, r)) for n=1
-        v1 = CCBallRegion(core.origin(1), 1.0).volume()
-        v2 = CCBallRegion(core.origin(1), 2.0).volume()
-        assert v2 == pytest.approx(16.0 * v1, rel=0.02)
-        assert 0 < v1 < CCBallRegion(core.origin(1), 1.0).bounding_box().volume()
-
-    def test_ball_monte_carlo_runs_once(self, monkeypatch):
-        proposals = []
-        contains = CCBallRegion.contains
-
-        def counting(self, points):
-            proposals.append(len(np.atleast_2d(points)))
-            return contains(self, points)
-
-        monkeypatch.setattr(CCBallRegion, "contains", counting)
-        ball = CCBallRegion(np.array([0.5, 0.0, 0.0]), 1.0)
-        vol, se = ball.volume(), ball.volume_stderr()
-        sample_uniform(ball, 100, seed=1)
-        normalized_measure(ball, 100, seed=2)
-        assert (ball.volume(), ball.volume_stderr()) == (vol, se)
-        assert proposals.count(measures._BALL_VOLUME_PROPOSALS) == 1
-        # a new ball is a new estimate, with the same value for the same ball
-        other = CCBallRegion(np.array([0.5, 0.0, 0.0]), 1.0)
-        assert (other.volume(), other.volume_stderr()) == (vol, se)
-        assert proposals.count(measures._BALL_VOLUME_PROPOSALS) == 2
+        # homogeneous dimension 2n+2, and Lebesgue measure is left-invariant
+        for n in (1, 2, 3):
+            unit = CCBallRegion(core.origin(n), 1.0).volume()
+            assert 0 < unit < CCBallRegion(core.origin(n), 1.0).bounding_box().volume()
+            for radius in (1e-3, 0.7, 2.0, 5e4):
+                ball = CCBallRegion(core.origin(n), radius)
+                assert ball.volume() == pytest.approx(radius ** (2 * n + 2) * unit, rel=1e-15)
+            assert CCBallRegion(core.origin(n), 2.0).volume() == 2.0 ** (2 * n + 2) * unit
+            # congruent balls, the same bits
+            moved = np.arange(1.0, 2 * n + 2)
+            assert CCBallRegion(moved, 0.7).volume() == CCBallRegion(core.origin(n), 0.7).volume()
 
     def test_box_dilation(self):
         b = BoxRegion.shifted([1.0, 0.0, 0.5])
@@ -186,8 +201,7 @@ class TestDensityAndEntropy:
         m = DiscreteMeasure(pts, np.full(500, 1 / 500))
         h = 0.1
         ent = renyi_entropy(estimate_density(m, h))
-        bound = BoxRegion(np.array([[-1, 3], [-1, 2], [-1, 1.5]], dtype=float))
-        vol = estimate_volume(pts, r=0.0, h=h, bound=bound).volume
+        vol = estimate_volume(pts, r=0.0, h=h).volume
         assert ent >= -vol ** (1.0 / 3.0) - 1e-12
 
     @pytest.mark.parametrize("n_boot", [-1, 0, 1])
@@ -336,42 +350,37 @@ class TestStepApproximate:
 
 
 class TestEstimateVolume:
-    def bound(self, pad=1.0):
-        return BoxRegion(np.array([[-pad, 2 + pad]] * 3))
-
     def test_empty(self):
-        est = estimate_volume(np.empty((0, 3)), 0.0, 0.1, self.bound())
+        est = estimate_volume(np.empty((0, 3)), 0.0, 0.1)
         assert est.volume == 0.0
 
     def test_single_point_r0(self):
-        est = estimate_volume(np.array([[0.55, 0.55, 0.55]]), 0.0, 0.1, self.bound())
+        est = estimate_volume(np.array([[0.55, 0.55, 0.55]]), 0.0, 0.1)
         assert est.volume == pytest.approx(0.1 ** 3)
         assert est.cells_occupied == 1
 
     def test_saturation_unit_box(self):
         pts = sample_uniform(BoxRegion.unit(1), 100_000, seed=30)
-        est = estimate_volume(pts, 0.0, 0.1, self.bound())
+        est = estimate_volume(pts, 0.0, 0.1)
         assert est.volume == pytest.approx(1.0, rel=0.05)
 
     def test_monotone_in_r(self):
         rng = np.random.default_rng(9)
         pts = rng.random((50, 3))
-        vols = [estimate_volume(pts, r, 0.1, self.bound()).volume for r in (0.0, 0.1, 0.2)]
+        vols = [estimate_volume(pts, r, 0.1).volume for r in (0.0, 0.1, 0.2)]
         assert vols[0] <= vols[1] <= vols[2]
 
     def test_r_positive_matches_bruteforce(self):
         rng = np.random.default_rng(10)
         pts = rng.random((40, 3))
         h, r = 0.25, 0.3
-        bound = self.bound()
-        est = estimate_volume(pts, r, h, bound)
-        # brute force: every grid cell center within the bound, min distance
+        est = estimate_volume(pts, r, h)
+        # brute force: every grid cell center in [-1, 3]^3, min distance
         lo = np.floor(-1.0 / h) - 1
         hi = np.floor(3.0 / h) + 2
         ks = np.arange(lo, hi)
         ctr = np.stack(np.meshgrid(ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 3)
         centers = (ctr + 0.5) * h
-        centers = centers[bound.contains(centers)]
         occupied = 0
         pt_cells = set(map(tuple, np.floor(pts / h).astype(int)))
         for c in centers:
@@ -382,16 +391,21 @@ class TestEstimateVolume:
 
     def test_under_resolution_warning(self):
         with pytest.warns(UserWarning):
-            estimate_volume(np.array([[0.5, 0.5, 0.5]]), 0.05, 0.2, self.bound())
+            estimate_volume(np.array([[0.5, 0.5, 0.5]]), 0.05, 0.2)
 
-    def test_points_outside_bound_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_volume(np.array([[9.0, 0.0, 0.0]]), 0.0, 0.1, self.bound())
+    @pytest.mark.parametrize("pts, match", [
+        ([[0.5, 0.5, 0.5], [0.2, np.nan, 0.1]], "finite"),
+        ([[0.5, 0.5, 0.5], [0.2, np.inf, 0.1]], "finite"),
+        ([[0.5, 0.5]] * 3, "odd"), ([[0.5] * 4] * 3, "odd")])
+    def test_malformed_points_rejected(self, pts, match):
+        for r in (0.0, 0.1):
+            with pytest.raises(ValueError, match=match):
+                estimate_volume(np.array(pts), r, 0.1)
 
     def test_stderr_positive_for_sparse_cloud(self):
         rng = np.random.default_rng(11)
         pts = rng.random((30, 3))
-        est = estimate_volume(pts, 0.08, 0.05, self.bound())
+        est = estimate_volume(pts, 0.08, 0.05)
         assert est.stderr > 0
         assert est.cells_boundary > 0
 
@@ -558,22 +572,23 @@ class TestRejectionGuard:
             ball.sample(100, measures._rng(0))
 
     def test_zero_volume_region_rejected(self):
-        # so extreme that the MC volume itself is zero
-        ball = CCBallRegion(np.array([1e7, 0.0, 0.0]), 1.0)
+        # radius^4 underflows, so the exact volume itself is zero
+        ball = CCBallRegion(np.zeros(3), 1e-100)
+        assert ball.volume() == 0.0
         with pytest.raises(ValueError, match="positive volume"):
             sample_uniform(ball, 100, seed=0)
 
 
 def cloud_grid(points, h, pad):
     """lo and shape of an origin-anchored grid over the cloud's box widened
-    by `pad` per axis, laid out as `estimate_volume` lays out its bound."""
+    by `pad` per axis, laid out as `measures._cloud_grid` lays out its grid."""
     lo = np.floor((points.min(axis=0) - pad) / h).astype(np.int64) - 1
     hi = np.floor((points.max(axis=0) + pad) / h).astype(np.int64) + 2
     return lo, tuple((hi - lo).tolist())
 
 
 def occupied_cells(points, r, h, lo, shape, prune=True):
-    """The occupied set of `estimate_volume` before the bound filter, with
+    """The occupied set of `estimate_volume` on the grid (lo, shape), with
     the r-thickening search run on the pruned cloud (or on every point),
     and the points searched."""
     base = np.unique(measures._encode(measures._cell_index(points, h), lo, shape))
@@ -615,18 +630,17 @@ def dense_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = dense_case(rng, n, h, r, abs_zeta0, abs_t0, cells, per_cell)
     if draw(st.booleans()):
-        pad = np.zeros(2 * n + 1)
+        grid = cloud_grid(points, h, np.zeros(2 * n + 1))
     else:
-        pad = np.abs(verify._cloud_bound(points, r, h).intervals[:, 1] - points.max(axis=0))
-    return points, r, h, pad
+        grid = measures._cloud_grid(points, r, h)
+    return points, r, h, grid
 
 
 class TestShellPrune:
     @settings(deadline=None, max_examples=50)
     @given(dense_cases())
     def test_pruned_search_gives_the_same_cells(self, case):
-        points, r, h, pad = case
-        lo, shape = cloud_grid(points, h, pad)
+        points, r, h, (lo, shape) = case
         got, _ = occupied_cells(points, r, h, lo, shape)
         want, _ = occupied_cells(points, r, h, lo, shape, prune=False)
         assert np.array_equal(got, want)
@@ -656,7 +670,7 @@ class TestShellPrune:
         box = BoxRegion(np.array([[-0.5, 0.5], [-0.5, 0.5], [0.0, 1.0]]))
         pts = sample_uniform(box, 40_000, seed=31)
         r = h = 0.05
-        est = estimate_volume(pts, r, h, verify._cloud_bound(pts, r, h))
+        est = estimate_volume(pts, r, h)
         assert 0 < est.points_searched < len(pts) / 2
         lo, shape = cloud_grid(pts, h, np.full(3, 0.5))
         got, searched = occupied_cells(pts, r, h, lo, shape)
@@ -666,9 +680,8 @@ class TestShellPrune:
 
     def test_sparse_and_r_zero_counts(self):
         pts = np.array([[0.5, 0.5, 0.5], [0.52, 0.5, 0.5], [1.5, 1.5, 1.5]])
-        bound = BoxRegion(np.array([[-1.0, 3.0]] * 3))
-        assert estimate_volume(pts, 0.05, 0.05, bound).points_searched == 3
-        assert estimate_volume(pts, 0.0, 0.05, bound).points_searched == 0
+        assert estimate_volume(pts, 0.05, 0.05).points_searched == 3
+        assert estimate_volume(pts, 0.0, 0.05).points_searched == 0
 
 
 @st.composite
@@ -689,8 +702,7 @@ class TestVolumeMonotone:
     @given(thickened_clouds())
     def test_monotone_in_r(self, case):
         points, r, h = case
-        bound = verify._cloud_bound(points, 1.5 * r, h)
-        vols = [estimate_volume(points, rr, h, bound).volume for rr in (0.0, r, 1.5 * r)]
+        vols = [estimate_volume(points, rr, h).volume for rr in (0.0, r, 1.5 * r)]
         assert vols == sorted(vols)
 
     @settings(deadline=None, max_examples=30)
@@ -698,9 +710,8 @@ class TestVolumeMonotone:
     def test_adding_points_adds_cells(self, case, frac):
         points, r, h = case
         part = points[: max(1, int(frac * len(points)))]
-        bound = verify._cloud_bound(points, r, h)
-        lo, shape = cloud_grid(points, h, bound.intervals[:, 1] - points.max(axis=0))
+        lo, shape = measures._cloud_grid(points, r, h)
         small, _ = occupied_cells(part, r, h, lo, shape)
         large, _ = occupied_cells(points, r, h, lo, shape)
         assert np.all(np.isin(small, large))
-        assert estimate_volume(part, r, h, bound).volume <= estimate_volume(points, r, h, bound).volume
+        assert estimate_volume(part, r, h).volume <= estimate_volume(points, r, h).volume
