@@ -5,12 +5,12 @@
     heis geodesic '[1,0]' 3.14 --samples 8
     heis transport --config cfg.json
     heis verify-cd --config cfg.json --output out.csv --format csv
-    heis sweep --target bmi --s 0:1:0.25 --config cfg.json
+    heis verify-bmi --s 0:1:0.25 --config cfg.json
     heis dilate-check --target bmi --lam 2,4 --config cfg.json
     heis step-limit --depths 0,1,2,3 --config cfg.json
 
 Configs are JSON (see ExperimentConfig), one file for every command; each
-command takes only the flags it reads.  HEIS_SEED overrides the seed.
+command takes only the flags it reads.
 Exit status: 0 when every reported inequality holds or is inconclusive,
 2 when any fails (or a dilation check is inconsistent), 1 on usage errors.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -130,8 +129,6 @@ def _load_config(args) -> ExperimentConfig:
             setattr(cfg, name, v)
     if getattr(args, "s", None):
         cfg.s_values = _parse_s_values(args.s)
-    if os.environ.get("HEIS_SEED"):
-        cfg.seed = int(os.environ["HEIS_SEED"])
     if cfg.solver != "exact" and args.command != "transport":
         raise ValueError(f"{args.command} runs exact plans only; solver {cfg.solver!r} "
                          "is accepted by 'heis transport' alone")
@@ -222,12 +219,8 @@ def _cmd_transport(args) -> int:
     return 0
 
 
-def _run_verifier(target: str, cfg: ExperimentConfig, A=None, B=None,
-                  h=None, r=None) -> list[InequalityReport]:
-    A = A if A is not None else cfg.region_a()
-    B = B if B is not None else cfg.region_b()
-    h = h if h is not None else cfg.h
-    r = r if r is not None else cfg.r
+def _run_verifier(target: str, cfg: ExperimentConfig, A: Region, B: Region,
+                  h: float, r: float) -> list[InequalityReport]:
     if target == "cd":
         return verify_cd_sweep(A, B, cfg.s_values, cfg.N, cfg.seed, h)
     if target == "bmi":
@@ -237,11 +230,11 @@ def _run_verifier(target: str, cfg: ExperimentConfig, A=None, B=None,
     raise SystemExit(f"unknown verifier {target!r}")
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     if args.dry_run:
         return _dry_run(cfg, args, {"verifier": args.target})
-    reports = _run_verifier(args.target, cfg)
+    reports = _run_verifier(args.target, cfg, cfg.region_a(), cfg.region_b(), cfg.h, cfg.r)
     _emit(reports, cfg)
     return _exit_code(reports)
 
@@ -296,13 +289,12 @@ def _cmd_dilate_check(args) -> int:
     lams = [float(v) for v in args.lam.split(",")]
     if args.dry_run:
         return _dry_run(cfg, args, {"lambdas": lams, "verifier": args.target})
-    base = _run_verifier(args.target, cfg)
+    A, B = cfg.region_a(), cfg.region_b()
+    base = _run_verifier(args.target, cfg, A, B, cfg.h, cfg.r)
     ok = True
     for lam in lams:
-        scaled = _run_verifier(
-            args.target, cfg,
-            A=cfg.region_a().dilated(lam), B=cfg.region_b().dilated(lam),
-            h=lam * cfg.h, r=lam * cfg.r)
+        scaled = _run_verifier(args.target, cfg, A.dilated(lam), B.dilated(lam),
+                               lam * cfg.h, lam * cfg.r)
         for b, s in zip(base, scaled):
             theta_same = b.extras.get("theta") == s.extras.get("theta")
             holds_same = b.holds == s.holds
@@ -358,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, flags in (("verify-cd", "config N seed h s output format threads dry-run"),
                         ("verify-bmi", _SWEEP_FLAGS), ("verify-sbmi", _SWEEP_FLAGS)):
-        p = sub.add_parser(name, help=f"run the {name[7:].upper()} verifier")
+        p = sub.add_parser(name, help=f"sweep s for the {name[7:].upper()} verifier")
         common(p, flags)
-        p.set_defaults(func=_cmd_sweep, target=name[7:])
+        p.set_defaults(func=_cmd_verify, target=name[7:])
 
     p = sub.add_parser("verify-bbl", help="Borell-Brascamp-Lieb on indicator grids")
     common(p, "config seed s output format dry-run")
@@ -374,15 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default="0,1,2,3,4,5")
     p.set_defaults(func=_cmd_step_limit)
 
-    p = sub.add_parser("sweep", help="sweep s for one verifier")
-    common(p, _SWEEP_FLAGS)
-    p.add_argument("--target", choices=("cd", "bmi", "sbmi"), default="cd")
-    p.set_defaults(func=_cmd_sweep)
-
     p = sub.add_parser("dilate-check", help="dilation-invariance consistency check")
     common(p, "config N seed h r s threads dry-run")
     p.add_argument("--target", choices=("bmi", "sbmi"), default="bmi")
-    p.add_argument("--lam", "--lambda", dest="lam", default="2,4")
+    p.add_argument("--lam", default="2,4")
     p.set_defaults(func=_cmd_dilate_check)
 
     return parser

@@ -450,23 +450,6 @@ class PairTable:
         return _along(s, self.xs[ii], self.chi[ii, jj], self.theta[ii, jj])
 
 
-def _pair_block(xs, ys, want_chi):
-    zx, tx = core.to_complex(xs)
-    zy, ty = core.to_complex(ys)
-    dzeta = zy[None, :, :] - zx[:, None, :]
-    # t part of x^{-1} * y: ty - tx - 2 sum Im(zeta_x conj(zeta_y)), as a
-    # GEMM over all pairs.  For n = 1 it has the bits of core._twist; for
-    # n >= 2 the matrix product sums over j in another order, and routing
-    # it through core._twist would move the last bits of n = 2 reports.
-    twist = 2.0 * (
-        np.ascontiguousarray(zx.imag) @ zy.real.T
-        - np.ascontiguousarray(zx.real) @ zy.imag.T
-    )
-    dt = ty[None, :] - tx[:, None] - twist
-    chi, theta, dist, unique = _invert_arrays(dzeta, dt, want_chi)
-    return dist, theta, unique, chi
-
-
 def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
     """Invert x_i^{-1} * y_j for all pairs, chunked over rows of xs.
 
@@ -482,7 +465,7 @@ def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
 
     def work(start):
         stop = min(start + rows_per_chunk, n_rows)
-        return _pair_block(xs[start:stop], ys, want_chi)
+        return _invert_arrays(*_twisted_difference(xs[start:stop, None], ys[None]), want_chi)
 
     if _max_workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=_max_workers) as pool:
@@ -490,10 +473,10 @@ def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
     else:
         blocks = [work(s) for s in starts]
 
-    dist = np.concatenate([b[0] for b in blocks], axis=0)
+    chi = np.concatenate([b[0] for b in blocks], axis=0) if want_chi else None
     theta = np.concatenate([b[1] for b in blocks], axis=0)
-    unique = np.concatenate([b[2] for b in blocks], axis=0)
-    chi = np.concatenate([b[3] for b in blocks], axis=0) if want_chi else None
+    dist = np.concatenate([b[2] for b in blocks], axis=0)
+    unique = np.concatenate([b[3] for b in blocks], axis=0)
     return PairTable(dist=dist, theta=theta, unique=unique, chi=chi, xs=xs, ys=ys)
 
 

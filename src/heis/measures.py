@@ -191,23 +191,23 @@ class CCBallRegion(Region):
         return self.radius ** (2 * n + 2) * _unit_ball_volume(n)
 
     def sample(self, N, rng) -> np.ndarray:
+        # proposals from the box of B(0, r), left-translated by the center:
+        # the acceptance is that of the centred ball wherever the center is
         N = int(N)
-        box = self.bounding_box()
+        box = CCBallRegion(np.zeros_like(self.center), self.radius).bounding_box()
         out = np.empty((N, len(self.center)))
         got, proposed = 0, 0
         while got < N:
             k = max(4 * (N - got), 1024)
-            cand = box.sample(k, rng)
+            cand = core.group_mul(self.center, box.sample(k, rng))
             ok = self.contains(cand)
             take = min(int(np.count_nonzero(ok)), N - got)
             out[got:got + take] = cand[ok][:take]
             got += take
             proposed += k
             if proposed >= 20_000 and got / proposed < _MIN_ACCEPT:
-                raise ValueError(
-                    "rejection acceptance below 1e-4; supply a tighter bounding box "
-                    "or split the region"
-                )
+                raise ValueError("rejection acceptance below 1e-4 in the box around "
+                                 "the centred ball")
         return out
 
     def dilated(self, lam) -> "CCBallRegion":

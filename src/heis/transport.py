@@ -29,7 +29,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
-from . import core, geodesy
+from . import geodesy
 from .geodesy import NonUniqueGeodesic, PairTable
 from .measures import DiscreteMeasure
 
@@ -80,11 +80,9 @@ class CostMatrix:
         return self.cost.shape[1]
 
 
-def cost_matrix(src: DiscreteMeasure, tgt: DiscreteMeasure,
-                want_chi: bool = False) -> CostMatrix:
+def cost_matrix(src: DiscreteMeasure, tgt: DiscreteMeasure) -> CostMatrix:
     """All-pairs d^2 between two clouds (deterministic)."""
-    core.check_same_dim(src.points, tgt.points)
-    table = geodesy.pair_table(src.points, tgt.points, want_chi=want_chi)
+    table = geodesy.pair_table(src.points, tgt.points)
     return CostMatrix(cost=table.dist ** 2, table=table)
 
 
@@ -432,12 +430,17 @@ class GeodesicPlan:
 
 
 def geodesic_plan(src: DiscreteMeasure, tgt: DiscreteMeasure,
-                  C: CostMatrix | None = None) -> GeodesicPlan:
-    """Solve exact transport and keep the geodesic data for interpolation."""
-    if C is None or C.table is None or C.table.chi is None:
-        C = cost_matrix(src, tgt, want_chi=True)
-    plan = solve_exact(C, src.weights, tgt.weights)
-    return GeodesicPlan(plan=plan, source=src, target=tgt, table=C.table)
+                  table: PairTable | None = None) -> GeodesicPlan:
+    """Solve exact transport and keep the geodesic data for interpolation.
+
+    `table` is the pair table of src and tgt, built with chi; without it
+    the table is built here.  A table without chi raises ValueError."""
+    if table is None:
+        table = geodesy.pair_table(src.points, tgt.points, want_chi=True)
+    elif table.chi is None:
+        raise ValueError("geodesic_plan needs a pair table built with chi")
+    plan = solve_exact(CostMatrix(table.dist ** 2, table), src.weights, tgt.weights)
+    return GeodesicPlan(plan=plan, source=src, target=tgt, table=table)
 
 
 def interpolate(gp: GeodesicPlan, s: float) -> DiscreteMeasure:
@@ -453,8 +456,7 @@ def interpolate(gp: GeodesicPlan, s: float) -> DiscreteMeasure:
         return DiscreteMeasure(gp.target.points.copy(),
                                gp.plan.col_sums(len(gp.target)))
     ii, jj = gp.plan.i, gp.plan.j
-    zeta, t = geodesy._gamma_arrays(s, gp.table.chi[ii, jj], gp.table.theta[ii, jj])
-    pts = core.group_mul(gp.source.points[ii], core.from_complex(zeta, t))
+    pts = geodesy._along(s, gp.source.points[ii], gp.table.chi[ii, jj], gp.table.theta[ii, jj])
     keys = geodesy._merge_keys(pts, _MERGE_TOL)
     _, uniq_idx, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     mass = np.bincount(inv, weights=gp.plan.mass)

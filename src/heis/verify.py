@@ -35,7 +35,6 @@ from .measures import (
     theta_deviation,
 )
 from .transport import (
-    CostMatrix,
     TransportPlan,
     cost_matrix,
     geodesic_plan,
@@ -49,11 +48,8 @@ __all__ = [
     "HypothesisViolated",
     "GridFunction",
     "cd_functional",
-    "verify_cd",
     "verify_cd_sweep",
-    "verify_bmi",
     "verify_bmi_sweep",
-    "verify_sbmi",
     "verify_sbmi_sweep",
     "verify_bbl",
     "step_limit_experiment",
@@ -170,7 +166,7 @@ def _sampled_instance(A: Region, B: Region, N: int, seed: int):
 def _exact_geodesics(name, s_values, mu0, mu1, table):
     """(exact geodesic plan, None), or (None, inconclusive reports) if it holds center pairs."""
     try:
-        return geodesic_plan(mu0, mu1, C=CostMatrix(table.dist ** 2, table)), None
+        return geodesic_plan(mu0, mu1, table), None
     except NonUniqueGeodesic as err:
         return None, [_inconclusive(name, s, f"center pairs in the optimal plan: {err}")
                       for s in s_values]
@@ -238,11 +234,6 @@ def verify_cd_sweep(A: Region, B: Region, s_values, N: int, seed: int,
         )
         reports.append(rep)
     return reports
-
-
-def verify_cd(A: Region, B: Region, s: float, N: int, seed: int,
-              h: float) -> InequalityReport:
-    return verify_cd_sweep(A, B, [s], N, seed, h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +306,6 @@ def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
         for s, (lhs, lhs_err, rhs, rhs_err, extras) in zip(s_values, sides)]
 
 
-def verify_bmi(A: Region, B: Region, s: float, N: int, seed: int,
-               r: float, h: float) -> InequalityReport:
-    return verify_bmi_sweep(A, B, [s], N, seed, r, h)[0]
-
-
 def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
                       r: float, h: float) -> list[InequalityReport]:
     """Strong BMI: the midpoint-set volume on the left is replaced by the
@@ -352,11 +338,6 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
                     "tau_A": bmi["tau_A"], "tau_B": bmi["tau_B"]},
         ))
     return reports
-
-
-def verify_sbmi(A: Region, B: Region, s: float, N: int, seed: int,
-                r: float, h: float) -> InequalityReport:
-    return verify_sbmi_sweep(A, B, [s], N, seed, r, h)[0]
 
 
 # ---------------------------------------------------------------------------

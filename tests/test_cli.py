@@ -114,15 +114,21 @@ class TestVerifyCommands:
         assert run_cli(command, "--dry-run") == 0
         assert list(json.loads(capsys.readouterr().out)) == shown.split()
 
-    def test_config_file_and_env_seed(self, tmp_path, capsys, monkeypatch):
+    def test_config_file_and_env_seed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(ExperimentConfig(N=64, seed=3).to_json()))
-        monkeypatch.setenv("HEIS_SEED", "99")
         assert run_cli("verify-bmi", "--config", str(cfg), "--s", "0.5",
                        "--h", "0.1", "--r", "0.1", "--dry-run") == 0
         blob = json.loads(capsys.readouterr().out)
-        assert blob["seed"] == 99
+        assert blob["seed"] == 3
         assert blob["N"] == 64
+
+    def test_environment_does_not_set_the_seed(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(ExperimentConfig(seed=3).to_json()))
+        monkeypatch.setenv("HEIS_SEED", "99")
+        assert run_cli("verify-cd", "--config", str(cfg), "--dry-run") == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
 
     def test_transport_writes_plan(self, tmp_path, capsys):
         out = tmp_path / "plan.json"
@@ -134,7 +140,7 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("argv", [
         ["verify-cd"], ["verify-bmi"], ["verify-sbmi"], ["verify-bbl"],
-        ["sweep", "--target", "bmi"], ["dilate-check"], ["step-limit"],
+        ["dilate-check"], ["step-limit"],
     ])
     def test_non_exact_solver_rejected(self, argv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -154,7 +160,6 @@ class TestVerifyCommands:
             ("verify-sbmi", "--solver"),
             ("verify-bbl", "--N --h --r --threads --solver"),
             ("step-limit", "--h --r --format --solver"),
-            ("sweep", "--solver"),
             ("dilate-check", "--output --format --solver"),
         ) for flag in flags.split()])
     def test_flag_the_command_does_not_read_is_usage_error(self, command, flag, capsys):
@@ -164,6 +169,16 @@ class TestVerifyCommands:
         assert ei.value.code == 1
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--target", "bmi", "--dry-run"],
+        ["sweep", "--target", "cd", "--r", "0.3", "--dry-run"],
+        ["dilate-check", "--lambda", "2", "--dry-run"],
+    ])
+    def test_removed_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as ei:  # verify-*, and dilate-check --lam, stay
+            run_cli(*argv)
+        assert ei.value.code == 1
+
     def test_transport_honours_sinkhorn(self, tmp_path, capsys):
         out = tmp_path / "plan.json"
         assert run_cli("transport", "--N", "32", "--solver", "sinkhorn(0.1)",
@@ -171,7 +186,7 @@ class TestVerifyCommands:
         assert json.loads(out.read_text())["method"] == "sinkhorn(0.1)"
 
     def test_sweep_bbl_and_step_limit(self, tmp_path, capsys):
-        assert run_cli("sweep", "--target", "bmi", "--N", "60", "--h", "0.1",
+        assert run_cli("verify-bmi", "--N", "60", "--h", "0.1",
                        "--r", "0.1", "--s", "0:1:0.5") == 0
         assert run_cli("verify-bbl", "--s", "0.5", "--cells", "8") == 0
         out = tmp_path / "steps.csv"

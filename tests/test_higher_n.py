@@ -15,7 +15,7 @@ from heis.measures import (
     theta_deviation,
 )
 from heis.transport import cost_matrix, geodesic_plan, interpolate, solve_exact
-from heis.verify import verify_cd
+from heis.verify import verify_cd_sweep
 
 UNIT5 = BoxRegion.unit(2)
 
@@ -58,7 +58,7 @@ def test_transport_and_cd_n2():
     gp = geodesic_plan(mu, nu)
     mid = interpolate(gp, 0.5)
     assert len(mid) == 40
-    rep = verify_cd(UNIT5, BoxRegion.shifted([1.5, 0, 0, 0, 0], n=2),
-                    0.5, N=64, seed=5, h=0.25)
+    rep = verify_cd_sweep(UNIT5, BoxRegion.shifted([1.5, 0, 0, 0, 0], n=2),
+                          [0.5], N=64, seed=5, h=0.25)[0]
     assert rep.holds in ("holds", "inconclusive")
     assert np.isfinite(rep.margin)

@@ -565,11 +565,19 @@ class TestBoundaryMask:
 
 class TestRejectionGuard:
     def test_low_acceptance_raises(self):
-        # a far-off-center ball has a hugely sheared bounding box, so the
+        # in H^7 the unit ball fills about 2e-5 of its box, so the
         # acceptance ratio collapses and the sampler must refuse
-        ball = CCBallRegion(np.array([25_000.0, 0.0, 0.0]), 1.0)
+        ball = CCBallRegion(np.zeros(15), 1.0)
         with pytest.raises(ValueError, match="acceptance"):
             ball.sample(100, measures._rng(0))
+
+    def test_far_off_axis_ball_samples(self):
+        # proposals come from the centred ball's box, translated: the far
+        # center does not shear them, and every sample is in the ball
+        ball = CCBallRegion(np.array([1e4, 0.0, 0.0]), 1.0)
+        pts = sample_uniform(ball, 500, seed=0)
+        assert pts.shape == (500, 3)
+        assert ball.contains(pts).all()
 
     def test_zero_volume_region_rejected(self):
         # radius^4 underflows, so the exact volume itself is zero

@@ -612,6 +612,23 @@ class TestInterpolation:
         assert np.array_equal(mid.points, [[1.1e7, 0.0, 0.0], [2.1e7, 0.0, 0.0]])
         assert np.array_equal(mid.weights, [0.5, 0.5])
 
+    def test_given_table_is_not_rebuilt(self):
+        rng = np.random.default_rng(21)
+        src, tgt = measure(cloud(rng, 12)), measure(cloud(rng, 12, shift=1.0))
+        table = geodesy.pair_table(src.points, tgt.points, want_chi=True)
+        with mock.patch.object(geodesy, "pair_table", wraps=geodesy.pair_table) as built:
+            gp = geodesic_plan(src, tgt, table)
+        assert built.call_count == 0
+        assert gp.table is table
+        ref = geodesic_plan(src, tgt)
+        assert np.array_equal(gp.plan.i, ref.plan.i) and np.array_equal(gp.plan.j, ref.plan.j)
+
+    def test_table_without_chi_rejected(self):
+        rng = np.random.default_rng(22)
+        src, tgt = measure(cloud(rng, 6)), measure(cloud(rng, 6, shift=1.0))
+        with pytest.raises(ValueError, match="built with chi"):
+            geodesic_plan(src, tgt, geodesy.pair_table(src.points, tgt.points))
+
     def test_center_pair_rejected(self):
         src = measure(np.array([[0.0, 0.0, 0.0]]))
         tgt = measure(np.array([[0.0, 0.0, 1.0]]))

@@ -16,11 +16,8 @@ from heis.verify import (
     cd_functional,
     step_limit_experiment,
     verify_bbl,
-    verify_bmi,
     verify_bmi_sweep,
-    verify_cd,
     verify_cd_sweep,
-    verify_sbmi,
     verify_sbmi_sweep,
 )
 
@@ -85,7 +82,7 @@ class TestCdFunctional:
 
 class TestVerifyCd:
     def test_identical_boxes_interior_s(self):
-        rep = verify_cd(UNIT, UNIT, 0.5, N=200, seed=5, h=0.1)
+        rep = verify_cd_sweep(UNIT, UNIT, [0.5], N=200, seed=5, h=0.1)[0]
         assert rep.name == "CD"
         assert rep.holds in ("holds", "inconclusive")
         assert rep.margin >= -3 * rep.mc_stderr
@@ -98,26 +95,20 @@ class TestVerifyCd:
             assert abs(rep.margin) <= 3 * rep.mc_stderr
 
     def test_offset_boxes_hold(self):
-        rep = verify_cd(UNIT, OFFSET, 0.5, N=200, seed=7, h=0.1)
+        rep = verify_cd_sweep(UNIT, OFFSET, [0.5], N=200, seed=7, h=0.1)[0]
         assert rep.holds in ("holds", "inconclusive")
         assert rep.margin >= -3 * rep.mc_stderr
 
     def test_jensen_side_report(self):
-        rep = verify_cd(UNIT, UNIT, 0.25, N=150, seed=8, h=0.1)
+        rep = verify_cd_sweep(UNIT, UNIT, [0.25], N=150, seed=8, h=0.1)[0]
         jen = rep.extras["jensen"]
         assert jen["margin"] >= -0.05
         assert jen["name"] == "JENSEN"
 
-    def test_sweep_is_consistent_with_single(self):
-        sweep = verify_cd_sweep(UNIT, OFFSET, [0.25, 0.75], N=100, seed=9, h=0.1)
-        single = verify_cd(UNIT, OFFSET, 0.25, N=100, seed=9, h=0.1)
-        assert sweep[0].lhs == single.lhs
-        assert sweep[0].rhs == single.rhs
-
 
 class TestVerifyBmi:
     def test_identical_boxes_hold(self):
-        rep = verify_bmi(UNIT, UNIT, 0.5, N=300, seed=10, r=0.1, h=0.1)
+        rep = verify_bmi_sweep(UNIT, UNIT, [0.5], N=300, seed=10, r=0.1, h=0.1)[0]
         assert rep.holds == "holds"
         assert rep.extras["theta"] >= 0.0
 
@@ -141,19 +132,19 @@ class TestVerifyBmi:
             assert rep.extras["skipped_pairs"] == 0
 
     def test_offset_boxes_hold(self):
-        rep = verify_bmi(UNIT, OFFSET, 0.5, N=300, seed=12, r=0.1, h=0.1)
+        rep = verify_bmi_sweep(UNIT, OFFSET, [0.5], N=300, seed=12, r=0.1, h=0.1)[0]
         assert rep.holds == "holds"
         assert rep.lhs > rep.rhs
 
     def test_rhs_uses_sampled_theta(self):
-        rep = verify_bmi(UNIT, OFFSET, 0.5, N=100, seed=13, r=0.1, h=0.1)
+        rep = verify_bmi_sweep(UNIT, OFFSET, [0.5], N=100, seed=13, r=0.1, h=0.1)[0]
         assert 0.0 <= rep.extras["theta"] < 2 * np.pi
         assert rep.extras["tau_A"] >= 0.5 ** (5.0 / 3.0) - 1e-12
 
 
 class TestVerifySbmi:
     def test_identical_boxes(self):
-        rep = verify_sbmi(UNIT, UNIT, 0.5, N=200, seed=14, r=0.1, h=0.1)
+        rep = verify_sbmi_sweep(UNIT, UNIT, [0.5], N=200, seed=14, r=0.1, h=0.1)[0]
         assert rep.holds == "holds"
         # the interpolant support stays inside the midpoint set
         assert rep.lhs <= rep.extras["lhs_bmi"] + 3 * rep.extras["containment_stderr"]
