@@ -3,7 +3,7 @@ CC distance, distortion coefficients, discrete optimal transport, and
 numerical checks of the entropy (CD), Brunn-Minkowski, strong
 Brunn-Minkowski, and Borell-Brascamp-Lieb inequalities."""
 
-from .core import HPoint, dilate, group_inv, group_mul, left_translate, origin
+from .core import dilate, group_inv, group_mul, origin
 from .distortion import p_mean, tau, tau_tilde
 from .geodesy import (
     GeodesicParam,

@@ -27,11 +27,12 @@ import numpy as np
 from . import geodesy
 from .distortion import tau, tau_tilde
 from .geodesy import GeodesicParam, gamma, set_max_workers
-from .measures import BoxRegion, Region, normalized_measure, region_from_json
+from .measures import BoxRegion, Region, region_from_json
 from .transport import cost_matrix, solve_exact, solve_sinkhorn
 from .verify import (
     GridFunction,
     InequalityReport,
+    sampled_measures,
     step_limit_experiment,
     verify_bbl,
     verify_bmi_sweep,
@@ -65,8 +66,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        cfg = cls(**known)
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__) - {"n"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        cfg = cls(**{k: v for k, v in data.items() if k != "n"})
         n = cfg.n  # also checks that the regions agree
         if data.get("n", n) != n:
             raise ValueError(f"config n = {data['n']!r} disagrees with its regions, "
@@ -102,6 +105,8 @@ def _parse_s_values(spec: str) -> list[float]:
     """'0:1:0.25' (inclusive range) or '0.25,0.5,0.75'."""
     if ":" in spec:
         start, stop, step = (float(v) for v in spec.split(":"))
+        if step == 0.0:
+            raise ValueError(f"s range {spec!r} has step 0")
         k = int(np.floor((stop - start) / step + 1e-9))
         return [start + i * step for i in range(k + 1)]
     return [float(v) for v in spec.split(",")]
@@ -129,6 +134,8 @@ def _load_config(args) -> ExperimentConfig:
             setattr(cfg, name, v)
     if getattr(args, "s", None):
         cfg.s_values = _parse_s_values(args.s)
+    if "s" in vars(args) and not cfg.s_values:
+        raise ValueError(f"{args.command} needs at least one s value")
     if cfg.solver != "exact" and args.command != "transport":
         raise ValueError(f"{args.command} runs exact plans only; solver {cfg.solver!r} "
                          "is accepted by 'heis transport' alone")
@@ -190,6 +197,8 @@ def _cmd_geodesic(args) -> int:
         print(json.dumps({"command": "geodesic", "chi": chi_reals.tolist(),
                           "theta": args.theta, "samples": args.samples}))
         return 0
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     p = GeodesicParam(chi, args.theta)
     for k in range(args.samples + 1):
         pt = gamma(k / args.samples, p)
@@ -202,8 +211,7 @@ def _cmd_transport(args) -> int:
     if args.dry_run:
         return _dry_run(cfg, args)
     method, eps = _parse_solver(cfg.solver)
-    mu = normalized_measure(cfg.region_a(), cfg.N, cfg.seed)
-    nu = normalized_measure(cfg.region_b(), cfg.N, cfg.seed + 1)
+    mu, nu = sampled_measures(cfg.region_a(), cfg.region_b(), cfg.N, cfg.seed)
     C = cost_matrix(mu, nu)
     if method == "exact":
         plan = solve_exact(C, mu.weights, nu.weights)
@@ -268,8 +276,7 @@ def _cmd_step_limit(args) -> int:
     depths = [int(v) for v in args.depths.split(",")]
     if args.dry_run:
         return _dry_run(cfg, args, {"depths": depths})
-    mu = normalized_measure(cfg.region_a(), cfg.N, cfg.seed)
-    nu = normalized_measure(cfg.region_b(), cfg.N, cfg.seed + 1)
+    mu, nu = sampled_measures(cfg.region_a(), cfg.region_b(), cfg.N, cfg.seed)
     s = cfg.s_values[len(cfg.s_values) // 2]
     rows = step_limit_experiment(mu, nu, depths, s)
     lines = ["depth,w2_error,f_value"]

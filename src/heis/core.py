@@ -14,21 +14,15 @@ mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "HPoint",
     "dim_to_n",
     "origin",
-    "zeta_t_split",
     "to_complex",
     "from_complex",
     "group_mul",
     "group_inv",
-    "left_translate",
-    "right_translate",
     "dilate",
     "check_same_dim",
 ]
@@ -56,16 +50,10 @@ def origin(n: int = 1) -> np.ndarray:
     return np.zeros(2 * n + 1)
 
 
-def zeta_t_split(coords):
-    """(zeta as interleaved reals, t)."""
-    coords = np.asarray(coords, dtype=float)
-    return coords[..., :-1], coords[..., -1]
-
-
 def to_complex(coords) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates -> (zeta complex array of shape (..., n), t)."""
-    zr, t = zeta_t_split(coords)
-    return zr[..., 0::2] + 1j * zr[..., 1::2], t
+    coords = np.asarray(coords, dtype=float)
+    return coords[..., 0:-1:2] + 1j * coords[..., 1:-1:2], coords[..., -1]
 
 
 def from_complex(zeta, t) -> np.ndarray:
@@ -101,16 +89,6 @@ def group_inv(x) -> np.ndarray:
     return -np.asarray(x, dtype=float)
 
 
-def left_translate(z, x) -> np.ndarray:
-    """L_z(x) = z * x."""
-    return group_mul(z, x)
-
-
-def right_translate(z, x) -> np.ndarray:
-    """R_z(x) = x * z."""
-    return group_mul(x, z)
-
-
 def dilate(lam: float, x) -> np.ndarray:
     """delta_lam(zeta, t) = (lam*zeta, lam^2*t), lam > 0."""
     if not lam > 0:
@@ -119,62 +97,3 @@ def dilate(lam: float, x) -> np.ndarray:
     out = lam * x
     out[..., -1] = lam * lam * x[..., -1]
     return out
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """A point of H^n with convenience operators around the array functions."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("HPoint wraps a single coordinate vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coordinates must be finite")
-        dim_to_n(c)
-        object.__setattr__(self, "coords", c)
-        self.coords.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return dim_to_n(self.coords)
-
-    @property
-    def t(self) -> float:
-        return float(self.coords[-1])
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return to_complex(self.coords)[0]
-
-    @classmethod
-    def origin(cls, n: int = 1) -> "HPoint":
-        return cls(origin(n))
-
-    @classmethod
-    def of(cls, *vals) -> "HPoint":
-        return cls(np.array(vals, dtype=float))
-
-    def __mul__(self, other: "HPoint") -> "HPoint":
-        return HPoint(group_mul(self.coords, other.coords))
-
-    def inv(self) -> "HPoint":
-        return HPoint(group_inv(self.coords))
-
-    def dilated(self, lam: float) -> "HPoint":
-        return HPoint(dilate(lam, self.coords))
-
-    def in_center(self) -> bool:
-        return not np.any(self.coords[:-1])
-
-    def to_json(self) -> list:
-        return [float(v) for v in self.coords]
-
-    @classmethod
-    def from_json(cls, data) -> "HPoint":
-        return cls(np.asarray(data, dtype=float))
-
-    def __repr__(self):
-        return f"HPoint({list(self.coords)})"

@@ -292,8 +292,6 @@ def gamma(s: float, p: GeodesicParam) -> np.ndarray:
     """Point gamma_{chi,theta}(s) as coordinates, s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
-    if abs(p.theta) > TWO_PI + 1e-15:
-        raise ValueError(f"|theta| must be <= 2*pi, got {p.theta}")
     zeta, t = _gamma_arrays(s, p.chi[None, :], np.array([p.theta]))
     return core.from_complex(zeta[0], t[0])
 
@@ -461,7 +459,7 @@ def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
     core.check_same_dim(xs, ys)
     n_rows = xs.shape[0]
     rows_per_chunk = max(1, _CHUNK // max(1, ys.shape[0]))
-    starts = list(range(0, n_rows, rows_per_chunk))
+    starts = list(range(0, max(n_rows, 1), rows_per_chunk))  # an empty xs is one empty chunk
 
     def work(start):
         stop = min(start + rows_per_chunk, n_rows)

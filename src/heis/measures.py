@@ -372,10 +372,6 @@ class StepMeasure:
         if np.any(self.levels <= 0):
             raise ValueError("levels must be positive")
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
     def as_discrete(self) -> DiscreteMeasure:
         """Cell-center atom surrogate carrying the exact piece densities."""
         centers = np.array([r.intervals.mean(axis=1) for r in self.regions])

@@ -71,14 +71,6 @@ class CostMatrix:
     cost: np.ndarray     # (rows, cols) d(x_i, y_j)^2
     table: PairTable | None = None
 
-    @property
-    def rows(self) -> int:
-        return self.cost.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.cost.shape[1]
-
 
 def cost_matrix(src: DiscreteMeasure, tgt: DiscreteMeasure) -> CostMatrix:
     """All-pairs d^2 between two clouds (deterministic)."""
@@ -141,7 +133,7 @@ class TransportPlan:
 def _check_weights(C: CostMatrix, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if len(a) != C.rows or len(b) != C.cols:
+    if (len(a), len(b)) != C.cost.shape:
         raise ValueError("weight vectors do not match the cost matrix")
     if not np.isfinite(C.cost).all():
         raise ValueError("cost matrix must be finite")

@@ -14,7 +14,7 @@ the side the inequality claims to be larger minus the smaller one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "verify_bmi_sweep",
     "verify_sbmi_sweep",
     "verify_bbl",
+    "sampled_measures",
     "step_limit_experiment",
     "StepLimitRow",
 ]
@@ -101,17 +102,7 @@ class InequalityReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "s": self.s,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "mc_stderr": self.mc_stderr,
-            "discretization_note": self.discretization_note,
-            "holds": self.holds,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
     CSV_HEADER = "name,s,lhs,rhs,margin,stderr,holds"
 
@@ -154,12 +145,16 @@ def _inconclusive(name, s, note, lhs=np.nan, rhs=np.nan) -> InequalityReport:
                             mc_stderr=np.nan, holds="inconclusive", discretization_note=note)
 
 
-def _sampled_instance(A: Region, B: Region, N: int, seed: int):
-    """Normalized measures on A (seed) and B (seed + 1), and their pair table with chi."""
+def sampled_measures(A: Region, B: Region, N: int, seed: int):
+    """Normalized measures of N atoms on A (seed) and B (seed + 1)."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    mu0 = normalized_measure(A, N, seed)
-    mu1 = normalized_measure(B, N, seed + 1)
+    return normalized_measure(A, N, seed), normalized_measure(B, N, seed + 1)
+
+
+def _sampled_instance(A: Region, B: Region, N: int, seed: int):
+    """The sampled measures and their pair table with chi."""
+    mu0, mu1 = sampled_measures(A, B, N, seed)
     return mu0, mu1, geodesy.pair_table(mu0.points, mu1.points, want_chi=True)
 
 
@@ -355,6 +350,8 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != self.box.intervals.shape[0]:
             raise ValueError("values must have one axis per coordinate")
+        if self.values.size == 0:
+            raise ValueError("grid must have at least one cell")
         if np.any(self.values < 0):
             raise ValueError("grid function must be nonnegative")
 

@@ -43,6 +43,17 @@ class TestConfig:
         assert run_cli(command, "--config", str(path)) == 1
         assert "regions disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ({"seeds": 3}, "unknown config keys: seeds"),
+        ({"threads": 4}, "unknown config keys: threads"),
+        ({"s_values": []}, "needs at least one s value"),
+    ])
+    def test_bad_config_rejected(self, data, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("verify-bmi", "--config", str(path), "--dry-run") == 1
+        assert message in capsys.readouterr().err
+
     def test_s_range_parsing(self):
         assert _parse_s_values("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert _parse_s_values("0.25,0.5") == [0.25, 0.5]
@@ -195,6 +206,19 @@ class TestVerifyCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "depth,w2_error,f_value"
         assert lines[-1].startswith("exact,")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["transport", "--N", "0"], "N must be at least 1, got 0"),
+        (["step-limit", "--N", "0", "--depths", "0"], "N must be at least 1, got 0"),
+        (["verify-cd", "--s", "0:1:0"], "s range '0:1:0' has step 0"),
+        (["verify-bmi", "--s", "1:0:0.25"], "needs at least one s value"),
+        (["step-limit", "--s", "1:0:0.25"], "needs at least one s value"),
+        (["geodesic", "[1,0]", "3.14", "--samples", "0"], "--samples must be at least 1"),
+        (["verify-bbl", "--cells", "0"], "grid must have at least one cell"),
+    ])
+    def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):
+        assert run_cli(*argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_dilate_check_consistent(self, capsys):
         code = run_cli("dilate-check", "--target", "bmi", "--N", "60",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heis import core
-from heis.core import HPoint, dilate, group_inv, group_mul, left_translate, origin
+from heis.core import dilate, group_inv, group_mul, origin
 
 
 def pt(*vals):
@@ -84,19 +84,14 @@ class TestTranslate:
     def test_identity_translation(self):
         rng = np.random.default_rng(6)
         for x in rand_points(rng, 5):
-            assert np.array_equal(left_translate(origin(1), x), x)
-            assert np.array_equal(left_translate(x, origin(1)), x)
+            assert np.array_equal(group_mul(origin(1), x), x)
+            assert np.array_equal(group_mul(x, origin(1)), x)
 
     def test_derived_example(self):
-        # left_translate((i,0), (1,0)) = (i,0)*(1,0) = (1+i, 2 Im(i * 1)) = (1+i, 2)
+        # (i,0)*(1,0) = (1+i, 2 Im(i * 1)) = (1+i, 2)
         z = pt(0.0, 1.0, 0.0)
         x = pt(1.0, 0.0, 0.0)
-        assert np.array_equal(left_translate(z, x), pt(1.0, 1.0, 2.0))
-
-    def test_right_translate(self):
-        rng = np.random.default_rng(7)
-        z, x = rand_points(rng, 2)
-        assert np.array_equal(core.right_translate(z, x), group_mul(x, z))
+        assert np.array_equal(group_mul(z, x), pt(1.0, 1.0, 2.0))
 
 
 class TestDilate:
@@ -127,41 +122,18 @@ class TestDilate:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-class TestHPoint:
-    def test_json_roundtrip(self):
-        p = HPoint.of(0.5, -1.25, 3.0)
-        assert p.to_json() == [0.5, -1.25, 3.0]
-        assert np.array_equal(HPoint.from_json(p.to_json()).coords, p.coords)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            HPoint.of(np.nan, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            HPoint.of(np.inf, 0.0, 1.0)
-
+class TestCoordinates:
     def test_rejects_even_length(self):
         with pytest.raises(ValueError):
-            HPoint.of(1.0, 2.0)
-
-    def test_operators(self):
-        x = HPoint.of(1.0, 0.0, 0.0)
-        y = HPoint.of(0.0, 1.0, 0.0)
-        assert (x * y).to_json() == [1.0, 1.0, -2.0]
-        assert (x * x.inv()).to_json() == [0.0, 0.0, 0.0]
-        assert x.dilated(2.0).to_json() == [2.0, 0.0, 0.0]
-        assert HPoint.of(0.0, 0.0, 5.0).in_center()
-        assert not x.in_center()
-
-    def test_complex_view(self):
-        p = HPoint.of(1.0, 2.0, 3.0, 4.0, 5.0)
-        assert p.n == 2
-        assert np.array_equal(p.zeta, np.array([1 + 2j, 3 + 4j]))
-        assert p.t == 5.0
+            core.dim_to_n(pt(1.0, 2.0))
 
     def test_complex_roundtrip(self):
-        p = HPoint.of(1.0, 2.0, 3.0, 4.0, 5.0)
-        zeta, t = core.to_complex(p.coords)
-        assert np.array_equal(core.from_complex(zeta, t), p.coords)
+        x = pt(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert core.dim_to_n(x) == 2
+        zeta, t = core.to_complex(x)
+        assert np.array_equal(zeta, np.array([1 + 2j, 3 + 4j]))
+        assert t == 5.0
+        assert np.array_equal(core.from_complex(zeta, t), x)
 
 
 EPS = np.finfo(float).eps

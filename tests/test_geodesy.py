@@ -354,6 +354,19 @@ class TestPairTable:
         assert np.array_equal(tab1.dist, tab2.dist)
         assert np.array_equal(tab1.theta, tab2.theta)
 
+    @pytest.mark.parametrize("want_chi", [False, True])
+    def test_empty_clouds(self, want_chi):
+        pts = rand_points(np.random.default_rng(19), 4, n=2)
+        empty = np.empty((0, 5))
+        for xs, ys, shape in ((empty, pts, (0, 4)), (pts, empty, (4, 0))):
+            tab = pair_table(xs, ys, want_chi=want_chi)
+            assert tab.dist.shape == tab.theta.shape == tab.unique.shape == shape
+            if want_chi:
+                assert tab.chi.shape == shape + (2,)
+            else:
+                assert tab.chi is None
+        assert midpoint_set(0.5, empty, pts).points.shape == (0, 5)
+
 
 class TestDedup:
     """The merge keys of `transport.interpolate`: equal keys, byte for byte,

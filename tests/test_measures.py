@@ -310,7 +310,7 @@ class TestStepApproximate:
         m = normalized_measure(BoxRegion.unit(1), 100, seed=8)
         sm = step_approximate(m, BoxRegion.unit(1), depth=0)
         assert len(sm.regions) == 1
-        assert sm.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert sm.masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert sm.levels[0] == pytest.approx(1.0)
 
     def test_uniform_input_levels_equal(self):
@@ -341,7 +341,7 @@ class TestStepApproximate:
         # deeper splits keep the two exact levels
         sm5 = step_approximate(m, BoxRegion.unit(1), depth=5)
         assert set(np.round(sm5.levels, 12)) == {np.round(2.0 / 3.0, 12), np.round(4.0 / 3.0, 12)}
-        assert sm5.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert sm5.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_support_check(self):
         m = normalized_measure(BoxRegion.shifted([5.0, 0.0, 0.0]), 10, seed=0)
