@@ -127,12 +127,21 @@ class TestCoordinates:
         with pytest.raises(ValueError):
             core.dim_to_n(pt(1.0, 2.0))
 
-    def test_complex_roundtrip(self):
+
+class TestHPoint:
+    """A point of H^n is a plain coordinate array; these check its
+    complex view (zeta, t)."""
+
+    def test_complex_view(self):
         x = pt(1.0, 2.0, 3.0, 4.0, 5.0)
         assert core.dim_to_n(x) == 2
         zeta, t = core.to_complex(x)
         assert np.array_equal(zeta, np.array([1 + 2j, 3 + 4j]))
         assert t == 5.0
+
+    def test_complex_roundtrip(self):
+        x = pt(1.0, 2.0, 3.0, 4.0, 5.0)
+        zeta, t = core.to_complex(x)
         assert np.array_equal(core.from_complex(zeta, t), x)
 
 
