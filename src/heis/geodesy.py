@@ -93,23 +93,19 @@ class GeodesicParam:
             raise ValueError(f"|theta| must be <= 2*pi, got {self.theta}")
         object.__setattr__(self, "chi", chi)
 
-    @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.chi))
-
 
 @dataclass(frozen=True)
 class InversionResult:
     """Output of Gamma_1^{-1}.
 
-    For |theta| < 2pi `params` holds the unique datum.  For center points
-    the geodesic is not unique: `unique` is False and `params` holds one
-    canonical representative (chi = |chi| * e_1) of the family
+    For |theta| < 2pi `param` is the unique datum.  For center points the
+    geodesic is not unique: `unique` is False and `param` is one canonical
+    representative (chi = |chi| * e_1) of the family
     {(chi, sign(t) 2pi) : |chi| = sqrt(pi |t|)}; callers must not treat it
     as a selection.
     """
 
-    params: list
+    param: GeodesicParam
     unique: bool
     distance: float
 
@@ -342,8 +338,8 @@ def gamma_inverse(y) -> InversionResult:
         raise ValueError("non-finite input point")
     zeta, t = core.to_complex(y)
     chi, theta, dist, unique = _invert_arrays(zeta[None, :], np.array([t]), want_chi=True)
-    p = GeodesicParam(chi[0], float(theta[0]))
-    return InversionResult(params=[p], unique=bool(unique[0]), distance=float(dist[0]))
+    return InversionResult(param=GeodesicParam(chi[0], float(theta[0])),
+                           unique=bool(unique[0]), distance=float(dist[0]))
 
 
 def _twisted_difference(xs, ys):
@@ -425,23 +421,24 @@ def midpoint(s: float, x, y) -> np.ndarray:
 class PairTable:
     """All-pairs inversion data between two point clouds.
 
-    dist[i, j] and theta[i, j] describe Gamma_1^{-1}(x_i^{-1} * y_j);
-    chi (complex, shape (N, M, n)) is kept only when requested.  unique is
-    False exactly on center pairs.  The table is the shared input for cost
-    matrices, midpoint sets, and the deviation functional.
+    dist[i, j] and theta[i, j] describe Gamma_1^{-1}(x_i^{-1} * y_j) for
+    the rows x_i of xs and y_j of ys; chi (complex, shape (N, M, n)) is
+    kept only when requested.  unique is False exactly on center pairs.
+    The table is the shared input for cost matrices, midpoint sets, and
+    the deviation functional.
     """
 
     dist: np.ndarray
     theta: np.ndarray
     unique: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
     chi: np.ndarray | None = None
-    xs: np.ndarray | None = None
-    ys: np.ndarray | None = None
 
     def midpoints(self, s: float) -> np.ndarray:
         """Midpoint coordinates for every unique pair, shape (K, 2n+1)."""
-        if self.chi is None or self.xs is None:
-            raise ValueError("pair table was built without chi / endpoints")
+        if self.chi is None:
+            raise ValueError("pair table was built without chi")
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s must be in [0, 1], got {s}")
         ii, jj = np.nonzero(self.unique)
@@ -475,7 +472,7 @@ def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
     theta = np.concatenate([b[1] for b in blocks], axis=0)
     dist = np.concatenate([b[2] for b in blocks], axis=0)
     unique = np.concatenate([b[3] for b in blocks], axis=0)
-    return PairTable(dist=dist, theta=theta, unique=unique, chi=chi, xs=xs, ys=ys)
+    return PairTable(dist=dist, theta=theta, unique=unique, xs=xs, ys=ys, chi=chi)
 
 
 @dataclass

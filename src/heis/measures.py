@@ -168,8 +168,7 @@ class CCBallRegion(Region):
 
     def contains(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        d = _distances_from(self.center, p)
-        return d <= self.radius
+        return geodesy.cc_distance_many(np.broadcast_to(self.center, p.shape), p) <= self.radius
 
     def bounding_box(self) -> BoxRegion:
         # B(0, r) sits inside {|zeta| <= r, |t| <= 2 r^2 / pi}: the vertical
@@ -304,13 +303,6 @@ def region_from_json(data: dict) -> Region:
     if kind == "union":
         return UnionRegion(tuple(region_from_json(m) for m in data["members"]))
     raise ValueError(f"unknown region kind: {kind!r}")
-
-
-def _distances_from(x, pts) -> np.ndarray:
-    """CC distances d(x, p_k) for a point cloud, vectorized."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x = np.broadcast_to(np.asarray(x, dtype=float), pts.shape)
-    return geodesy.paired_invert(x, pts)[1]
 
 
 # ---------------------------------------------------------------------------

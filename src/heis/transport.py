@@ -66,16 +66,14 @@ class SinkhornError(RuntimeError):
 
 @dataclass
 class CostMatrix:
-    """Pairwise squared CC distances, with the pair table they came from."""
+    """Pairwise squared CC distances: cost[i, j] = d(x_i, y_j)^2."""
 
-    cost: np.ndarray     # (rows, cols) d(x_i, y_j)^2
-    table: PairTable | None = None
+    cost: np.ndarray     # (rows, cols)
 
 
 def cost_matrix(src: DiscreteMeasure, tgt: DiscreteMeasure) -> CostMatrix:
     """All-pairs d^2 between two clouds (deterministic)."""
-    table = geodesy.pair_table(src.points, tgt.points)
-    return CostMatrix(cost=table.dist ** 2, table=table)
+    return CostMatrix(cost=geodesy.pair_table(src.points, tgt.points).dist ** 2)
 
 
 @dataclass
@@ -93,11 +91,6 @@ class TransportPlan:
     def __len__(self):
         return len(self.mass)
 
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.zeros((rows, cols))
-        out[self.i, self.j] = self.mass
-        return out
-
     def row_sums(self, rows: int) -> np.ndarray:
         return np.bincount(self.i, weights=self.mass, minlength=rows)
 
@@ -114,20 +107,6 @@ class TransportPlan:
         if self.cost_regularized is not None:
             out["cost_regularized"] = float(self.cost_regularized)
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TransportPlan":
-        pairs = np.asarray(data["pairs"], dtype=float)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 3)
-        return cls(
-            i=pairs[:, 0].astype(np.int64),
-            j=pairs[:, 1].astype(np.int64),
-            mass=pairs[:, 2],
-            cost=float(data["cost"]),
-            method=str(data["method"]),
-            cost_regularized=data.get("cost_regularized"),
-        )
 
 
 def _check_weights(C: CostMatrix, a, b):
@@ -305,16 +284,17 @@ def solve_exact(C: CostMatrix, src_weights, tgt_weights) -> TransportPlan:
         i, j, mass, _ = _lp_plan(C.cost, a, b)
     cost = float(np.sum(mass * C.cost[i, j]))
     plan = TransportPlan(i=i, j=j, mass=mass, cost=cost, method="exact_lp")
-    _assert_marginals(plan, a, b)
+    _record_marginals(plan, a, b)
+    if plan.marginal_violation > _MARGINAL_TOL:
+        raise RuntimeError(f"plan violates marginals by {plan.marginal_violation:.3e}")
     return plan
 
 
-def _assert_marginals(plan: TransportPlan, a, b, tol=_MARGINAL_TOL):
+def _record_marginals(plan: TransportPlan, a, b):
+    """Set plan.marginal_violation, the largest marginal error of any atom."""
     ra = np.max(np.abs(plan.row_sums(len(a)) - a))
     rb = np.max(np.abs(plan.col_sums(len(b)) - b))
     plan.marginal_violation = float(max(ra, rb))
-    if plan.method == "exact_lp" and plan.marginal_violation > tol:
-        raise RuntimeError(f"plan violates marginals by {plan.marginal_violation:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +308,9 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
     Stops when the L1 marginal violation is <= tol; raises SinkhornError
     (carrying the last violation) if max_iter total iterations do not get
     there.  Entries below 1e-15 are pruned after convergence; `cost` is
-    the unregularized transport cost of the returned plan and
-    `cost_regularized` adds the epsilon * KL penalty.
+    the unregularized transport cost of the returned plan,
+    `cost_regularized` adds the epsilon * KL penalty, and
+    `marginal_violation` is the pruned plan's largest error at one atom.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -387,7 +368,7 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
         method=f"sinkhorn({epsilon:g})",
         cost_regularized=reg_cost,
     )
-    _assert_marginals(plan, a, b, tol=max(tol, _MARGINAL_TOL))
+    _record_marginals(plan, a, b)
     return plan
 
 
@@ -431,7 +412,7 @@ def geodesic_plan(src: DiscreteMeasure, tgt: DiscreteMeasure,
         table = geodesy.pair_table(src.points, tgt.points, want_chi=True)
     elif table.chi is None:
         raise ValueError("geodesic_plan needs a pair table built with chi")
-    plan = solve_exact(CostMatrix(table.dist ** 2, table), src.weights, tgt.weights)
+    plan = solve_exact(CostMatrix(table.dist ** 2), src.weights, tgt.weights)
     return GeodesicPlan(plan=plan, source=src, target=tgt, table=table)
 
 

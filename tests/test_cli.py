@@ -215,7 +215,9 @@ class TestVerifyCommands:
         (["step-limit", "--s", "1:0:0.25"], "needs at least one s value"),
         (["geodesic", "[1,0]", "3.14", "--samples", "0"], "--samples must be at least 1"),
         (["verify-bbl", "--cells", "0"], "grid must have at least one cell"),
+        (["verify-bbl", "--cells", "-2"], "got shape (-2, -2, -2)"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):
         assert run_cli(*argv) == 1
         assert message in capsys.readouterr().err

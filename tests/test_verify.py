@@ -3,10 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from heis import verify
-from heis.distortion import p_mean, tau_tilde
-from heis.geodesy import TWO_PI, angle, midpoint
-from heis.measures import BoxRegion, DiscreteMeasure, UnionRegion, normalized_measure
+from heis import geodesy, verify
+from heis.distortion import p_mean, tau, tau_tilde
+from heis.geodesy import CENTER_TOL, TWO_PI, angle, midpoint
+from heis.measures import (
+    BoxRegion,
+    CCBallRegion,
+    DiscreteMeasure,
+    UnionRegion,
+    normalized_measure,
+)
 from heis.transport import cost_matrix, geodesic_plan, solve_exact
 from heis.verify import (
     GridFunction,
@@ -233,6 +239,48 @@ class TestDegenerateReports:
         assert_inconclusive(verify_sbmi_sweep(UNIT, UNIT, self.S, N=20, seed=2, r=0.1, h=0.1),
                             "SBMI", self.S, "center pairs in the optimal plan")
         assert volumes == []
+
+    @pytest.mark.parametrize("n, tau_half", [(1, 964.75), (2, 4.9116e5)])
+    @pytest.mark.parametrize("t", [1e-6, 1.0, -3.7, 1e6])
+    def test_unique_pairs_have_finite_coefficients(self, n, tau_half, t):
+        # CD routes plans with center pairs to `inconclusive`, so its rhs
+        # only meets unique pairs.  The unique pair nearest the center, at
+        # |zeta| = CENTER_TOL sqrt|t|, still has |theta| < 2pi and finite
+        # coefficients, so the rhs is finite for every plan CD scores.
+        x = np.zeros((1, 2 * n + 1))
+        y = x.copy()
+        y[0, 0], y[0, -1] = CENTER_TOL * np.sqrt(abs(t)), t
+        table = geodesy.pair_table(x, y)
+        th = abs(table.theta[0, 0])
+        assert table.unique[0, 0] and th < TWO_PI
+        s = np.linspace(0.0, 1.0, 41)
+        assert np.all(np.isfinite(tau(n, s, th)))
+        assert tau(n, 0.5, th) == pytest.approx(tau_half, rel=1e-4)
+        # one ulp closer to the axis the pair is a center pair
+        y[0, 0] = np.nextafter(y[0, 0], 0.0)
+        assert not geodesy.pair_table(x, y).unique[0, 0]
+
+
+class TestChainLastLink:
+    """-F^n_s >= tau_{1-s}(Theta) Leb(A)^{1/d} + tau_s(Theta) Leb(B)^{1/d}
+    with the exact densities 1/Leb: term by term, since tau is increasing
+    in theta and every theta_ij >= Theta.  No estimator enters."""
+
+    @pytest.mark.parametrize("A, B, N", [
+        (UNIT, OFFSET, 200),
+        (CCBallRegion(np.zeros(3), 1.0), CCBallRegion(np.array([2.5, 0.0, 0.0]), 1.0), 200),
+        (BoxRegion.unit(2), BoxRegion.shifted([2.0, 0.0, 0.0, 0.0, 0.0], n=2), 100),
+    ], ids=["boxes-n1", "balls-n1", "boxes-n2"])
+    def test_minus_f_bounds_the_tau_rhs(self, A, B, N):
+        mu0, mu1 = verify.sampled_measures(A, B, N, seed=5)
+        plan = solve_exact(cost_matrix(mu0, mu1), mu0.weights, mu1.weights)
+        n, d = mu0.n, mu0.points.shape[1]
+        theta = np.min(np.abs(geodesy.pair_table(mu0.points, mu1.points).theta))
+        for s in [0.0, 0.25, 0.5, 0.75, 1.0]:
+            lhs = -cd_functional(plan, mu0, mu1, s)
+            rhs = (tau(n, 1.0 - s, theta) * A.volume() ** (1.0 / d)
+                   + tau(n, s, theta) * B.volume() ** (1.0 / d))
+            assert lhs - rhs >= -1e-12 * rhs
 
 
 class TestVerifyBbl:
