@@ -62,7 +62,9 @@ TWO_PI = 2.0 * np.pi
 # the generic inversion is ill-conditioned but the branch formula is exact.
 CENTER_TOL = 1e-10
 
-_CHUNK = 1 << 18
+# pairs per row block of the bulk kernels: small enough that a block's
+# temporaries stay in a core's L2 cache
+_CHUNK = 1 << 15
 
 _max_workers = 1
 
@@ -73,7 +75,7 @@ class NonUniqueGeodesic(ValueError):
 
 def set_max_workers(k: int):
     """Cap worker threads for the bulk pair kernels (results are identical
-    for any worker count; chunk boundaries are fixed)."""
+    for any worker count; block boundaries are fixed)."""
     global _max_workers
     if k < 1:
         raise ValueError("worker count must be >= 1")
@@ -118,18 +120,23 @@ class InversionResult:
 #   (theta - sin theta) / theta^3 = sum_k (-1)^k w^k / (2k+3)!   and
 #   (1 - cos theta) / theta^2     = sum_k (-1)^k w^k / (2k+2)!,   w = theta^2;
 # seven terms leave a relative truncation error below 1e-17 for theta <= 0.5.
-_SIN_SERIES = np.array([(-1) ** k / math.factorial(2 * k + 3) for k in range(7)][::-1])
-_COS_SERIES = np.array([(-1) ** k / math.factorial(2 * k + 2) for k in range(7)][::-1])
+# Row k holds the w^(6-k) coefficients of both series.
+_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + 3),
+                     (-1) ** k / math.factorial(2 * k + 2)] for k in range(7)][::-1])
 _SERIES_THETA = 0.5
 _NEWTON_STEPS = 3
 
 
 def _m_series(theta):
     """m and m' for 0 <= theta <= _SERIES_THETA (a little beyond is fine),
-    as polynomials in theta^2: no cancellation, no underflow near 0."""
-    w = theta * theta
-    sn = np.polyval(_SIN_SERIES, w)
-    cs = np.polyval(_COS_SERIES, w)
+    as polynomials in theta^2: no cancellation, no underflow near 0.  Both
+    series run in one Horner loop, with the steps of np.polyval."""
+    w = np.asarray(theta * theta)
+    y = np.zeros((2,) + w.shape)
+    for coef in _SERIES.reshape(_SERIES.shape + (1,) * w.ndim):
+        y *= w
+        y += coef
+    sn, cs = y
     return theta * sn / cs, 1.0 - sn * (1.0 - w * sn) / (cs * cs)
 
 
@@ -248,11 +255,16 @@ def _solve_theta(u):
     above = au > np.pi / 2.0
     series = (au > 0.0) & (au < _U_SERIES)
     direct = (au >= _U_SERIES) & ~above
-    for mask, m_and_dm in ((series, _m_series), (direct, _m_direct)):
-        if np.any(mask):
-            theta[mask], s[mask], c[mask] = _solve_below_pi(au[mask], m_and_dm)
-    if np.any(above):
-        theta[above], s[above], c[above] = _solve_above_pi(au[above])
+    for mask, solve in ((series, lambda v: _solve_below_pi(v, _m_series)),
+                        (direct, lambda v: _solve_below_pi(v, _m_direct)),
+                        (above, _solve_above_pi)):
+        k = np.count_nonzero(mask)
+        if k == 0:
+            continue
+        if k == mask.size:  # one branch takes every element: no gather
+            theta, s, c = solve(au)
+        else:
+            theta[mask], s[mask], c[mask] = solve(au[mask])
     neg = u < 0
     return np.where(neg, -theta, theta), np.where(neg, -s, s), c
 
@@ -265,11 +277,21 @@ def _v_factor(alpha):
     """V(a) = (a - sin a) / a^2, with series near 0."""
     alpha = np.asarray(alpha, dtype=float)
     small = np.abs(alpha) < 1e-3
-    a_s = np.where(small, alpha, 0.0)
-    series = a_s / 6.0 * (1.0 - a_s * a_s / 20.0 + a_s ** 4 / 840.0)
-    a_b = np.where(small, 1.0, alpha)
-    direct = (a_b - np.sin(a_b)) / (a_b * a_b)
-    return np.where(small, series, direct)
+    k = np.count_nonzero(small)
+    if k == 0:
+        return _v_direct(alpha)
+    if k == small.size:
+        return _v_series(alpha)
+    return np.where(small, _v_series(np.where(small, alpha, 0.0)),
+                    _v_direct(np.where(small, 1.0, alpha)))
+
+
+def _v_series(a):
+    return a / 6.0 * (1.0 - a * a / 20.0 + a ** 4 / 840.0)
+
+
+def _v_direct(a):
+    return (a - np.sin(a)) / (a * a)
 
 
 def _gamma_arrays(s, chi, theta):
@@ -309,6 +331,11 @@ def _invert_arrays(zeta, t, want_chi=False):
     at = np.abs(t)
     on_center = az < CENTER_TOL * np.sqrt(at)
     generic = ~(on_center | ((az == 0.0) & (t == 0.0)))
+    if generic.all():  # no center or zero entry: no gather or scatter
+        th, s, c = _solve_theta(t / (az * az))
+        ratio = _chi_ratio(th, s)
+        chi = zeta * ((c + 1j * s) * ratio)[..., None] if want_chi else None
+        return chi, th, az * ratio, ~on_center
 
     theta = np.zeros_like(at)
     dist = np.zeros_like(at)
@@ -316,19 +343,24 @@ def _invert_arrays(zeta, t, want_chi=False):
 
     az_g = az[generic]
     th, s, c = _solve_theta(t[generic] / (az_g * az_g))
-    # |chi| / |zeta| = (theta/2) / sin(theta/2), and 1 at theta = 0
-    ratio = np.divide(0.5 * th, s, out=np.ones_like(s), where=s != 0.0)
+    ratio = _chi_ratio(th, s)
     theta[generic] = th
     dist[generic] = az_g * ratio
     if want_chi:
         chi[generic] = zeta[generic] * ((c + 1j * s) * ratio)[:, None]
 
-    r = np.sqrt(np.pi * at[on_center])
-    theta[on_center] = np.copysign(TWO_PI, t[on_center])
-    dist[on_center] = r
-    if want_chi:
-        chi[on_center, 0] = r
+    if on_center.any():
+        r = np.sqrt(np.pi * at[on_center])
+        theta[on_center] = np.copysign(TWO_PI, t[on_center])
+        dist[on_center] = r
+        if want_chi:
+            chi[on_center, 0] = r
     return chi, theta, dist, ~on_center
+
+
+def _chi_ratio(th, s):
+    """|chi| / |zeta| = (theta/2) / sin(theta/2), and 1 at theta = 0."""
+    return np.divide(0.5 * th, s, out=np.ones_like(s), where=s != 0.0)
 
 
 def gamma_inverse(y) -> InversionResult:
@@ -436,42 +468,70 @@ class PairTable:
     chi: np.ndarray | None = None
 
     def midpoints(self, s: float) -> np.ndarray:
-        """Midpoint coordinates for every unique pair, shape (K, 2n+1)."""
+        """Midpoint coordinates for every unique pair, shape (K, 2n+1), in
+        row-major pair order; computed in the row blocks of pair_table."""
         if self.chi is None:
             raise ValueError("pair table was built without chi")
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s must be in [0, 1], got {s}")
-        ii, jj = np.nonzero(self.unique)
-        return _along(s, self.xs[ii], self.chi[ii, jj], self.theta[ii, jj])
+        offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(self.unique, axis=1))))
+        out = np.empty((offsets[-1], self.xs.shape[1]))
+
+        def work(start, stop):
+            unique = self.unique[start:stop]
+            if unique.all():  # every pair of the block: broadcast, no gather
+                z = _along(s, self.xs[start:stop, None], self.chi[start:stop],
+                           self.theta[start:stop])
+            else:
+                ii, jj = np.nonzero(unique)
+                z = _along(s, self.xs[start + ii], self.chi[start:stop][ii, jj],
+                           self.theta[start:stop][ii, jj])
+            out[offsets[start]:offsets[stop]] = z.reshape(-1, out.shape[1])
+
+        _for_row_blocks(work, *self.unique.shape)
+        return out
 
 
-def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
-    """Invert x_i^{-1} * y_j for all pairs, chunked over rows of xs.
+def _for_row_blocks(work, n_rows, n_cols):
+    """Call work(start, stop) on fixed row blocks of about _CHUNK pairs of an
+    (n_rows, n_cols) pair array; an empty array is one empty block.  The
+    blocks do not depend on the worker count (see set_max_workers), and
+    work writes each block's rows of outputs allocated by the caller, so
+    the outputs are identical for any worker count."""
+    rows = max(1, _CHUNK // max(1, n_cols))
+    starts = range(0, max(n_rows, 1), rows)
 
-    Thread workers (see set_max_workers) only split the fixed chunks, so
-    the result is identical for any worker count.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    core.check_same_dim(xs, ys)
-    n_rows = xs.shape[0]
-    rows_per_chunk = max(1, _CHUNK // max(1, ys.shape[0]))
-    starts = list(range(0, max(n_rows, 1), rows_per_chunk))  # an empty xs is one empty chunk
-
-    def work(start):
-        stop = min(start + rows_per_chunk, n_rows)
-        return _invert_arrays(*_twisted_difference(xs[start:stop, None], ys[None]), want_chi)
+    def block(start):
+        work(start, min(start + rows, n_rows))
 
     if _max_workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=_max_workers) as pool:
-            blocks = list(pool.map(work, starts))
+            list(pool.map(block, starts))
     else:
-        blocks = [work(s) for s in starts]
+        for start in starts:
+            block(start)
 
-    chi = np.concatenate([b[0] for b in blocks], axis=0) if want_chi else None
-    theta = np.concatenate([b[1] for b in blocks], axis=0)
-    dist = np.concatenate([b[2] for b in blocks], axis=0)
-    unique = np.concatenate([b[3] for b in blocks], axis=0)
+
+def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
+    """Invert x_i^{-1} * y_j for all pairs, in row blocks of about _CHUNK
+    pairs written into tables allocated once.  The result has the same
+    bytes for any block size and any worker count."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    core.check_same_dim(xs, ys)
+    shape = (xs.shape[0], ys.shape[0])
+    theta = np.empty(shape)
+    dist = np.empty(shape)
+    unique = np.empty(shape, dtype=bool)
+    chi = np.empty(shape + (core.dim_to_n(xs),), dtype=complex) if want_chi else None
+
+    def work(start, stop):
+        c, theta[start:stop], dist[start:stop], unique[start:stop] = _invert_arrays(
+            *_twisted_difference(xs[start:stop, None], ys[None]), want_chi)
+        if want_chi:
+            chi[start:stop] = c
+
+    _for_row_blocks(work, *shape)
     return PairTable(dist=dist, theta=theta, unique=unique, xs=xs, ys=ys, chi=chi)
 
 

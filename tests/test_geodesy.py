@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heis import core, geodesy
@@ -354,6 +357,55 @@ class TestPairTable:
         assert np.array_equal(tab1.dist, tab2.dist)
         assert np.array_equal(tab1.theta, tab2.theta)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bytes_across_block_sizes_and_workers(self, n, monkeypatch):
+        rng = np.random.default_rng(25)
+        xs = rand_points(rng, 30, n=n)
+        ys = rand_points(rng, 23, n=n)
+        ys[3] = xs[4]  # an equal pair
+        ys[7, :-1] = xs[9, :-1]  # a center pair: same zeta, different t
+
+        def table_bytes():
+            tab = pair_table(xs, ys, want_chi=True)
+            return [a.tobytes() for a in (tab.dist, tab.theta, tab.unique, tab.chi,
+                                          tab.midpoints(0.25), tab.midpoints(0.5))]
+
+        want = table_bytes()
+        tab = pair_table(xs, ys)
+        assert tab.dist[4, 3] == 0.0 and tab.unique[4, 3] and not tab.unique[9, 7]
+        # 1 << 6 pairs are two rows of 23: most blocks hold neither special pair
+        for chunk in (geodesy._CHUNK, 1 << 6):
+            monkeypatch.setattr(geodesy, "_CHUNK", chunk)
+            for workers in (1, 2):
+                geodesy.set_max_workers(workers)
+                try:
+                    assert table_bytes() == want, (chunk, workers)
+                finally:
+                    geodesy.set_max_workers(1)
+
+    @pytest.mark.parametrize("N", [400, 800])
+    def test_block_memory(self, N):
+        # what a table or a midpoint set needs beyond its own output is a
+        # few blocks' temporaries, whatever N
+        rng = np.random.default_rng(26)
+        xs = rng.random((N, 3))
+        ys = rng.random((N, 3)) + [2.0, 0.0, 0.0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tab = pair_table(xs, ys, want_chi=True)
+            table_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            z = tab.midpoints(0.5)
+            midpoint_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(a.nbytes for a in (tab.dist, tab.theta, tab.unique, tab.chi))
+        assert table_peak - table_bytes < 16 * 2 ** 20
+        assert z.shape == (N * N, 3)
+        assert midpoint_peak - z.nbytes < 16 * 2 ** 20
+
     @pytest.mark.parametrize("want_chi", [False, True])
     def test_empty_clouds(self, want_chi):
         pts = rand_points(np.random.default_rng(19), 4, n=2)
@@ -457,6 +509,29 @@ def geodesic_end(speed, phase, theta):
     return p, gamma(1.0, p)
 
 
+# u = t / |zeta|^2 from every branch of the root solve, with both signs
+u_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan]),
+    st.builds(lambda lu, sign: sign * 10.0 ** lu, log_u, st.sampled_from([-1.0, 1.0])),
+)
+# (zeta, t) rows: generic, on the center, at the origin, and just off the center
+rows = st.one_of(
+    st.tuples(st.lists(st.tuples(coord, coord), min_size=2, max_size=2), coord),
+    coord.map(lambda t: ([(0.0, 0.0), (0.0, 0.0)], t)),
+    st.just(([(0.0, 0.0), (0.0, 0.0)], 0.0)),
+    st.sampled_from([0.5, 1.0, 2.0]).map(
+        lambda f: ([(f * CENTER_TOL, 0.0), (0.0, 0.0)], 1.0)),
+)
+
+
+def m_polyval(theta):
+    """_m_series by np.polyval on the Taylor coefficients of its docstring."""
+    w = theta * theta
+    sn = np.polyval([(-1) ** k / math.factorial(2 * k + 3) for k in range(7)][::-1], w)
+    cs = np.polyval([(-1) ** k / math.factorial(2 * k + 2) for k in range(7)][::-1], w)
+    return theta * sn / cs, 1.0 - sn * (1.0 - w * sn) / (cs * cs)
+
+
 def m_residual(u):
     """|m(theta) - u| / |u| at the solved root.  m is evaluated from theta
     up to pi; beyond, from the half-angle sine and cosine the solve returns,
@@ -488,6 +563,36 @@ class TestInversionProperties:
         # closed form (whose cancellation error is below 6 eps / theta^2)
         direct = (theta - np.sin(theta)) / (2.0 * np.sin(theta / 2.0) ** 2)
         assert geodesy._m_series(np.array([theta]))[0][0] == pytest.approx(direct, rel=1e-14)
+
+    @given(st.lists(st.floats(0.0, 0.6), min_size=1, max_size=8))
+    def test_series_is_polyval_bitwise(self, thetas):
+        theta = np.array(thetas)
+        for got, want in zip(geodesy._m_series(theta), m_polyval(theta)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(geodesy._m_series(theta[0]), m_polyval(theta[0])):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(deadline=None)
+    @example([0.0, -0.0, np.nan, 0.05, -0.05, 1.0, -1.0, 100.0, -1e15])
+    @given(st.lists(u_values, min_size=1, max_size=12))
+    def test_solve_is_elementwise(self, us):
+        # the branches of a mixed array give each element the bits it gets alone
+        u = np.array(us)
+        together = geodesy._solve_theta(u)
+        for k in range(len(u)):
+            for col, alone in zip(together, geodesy._solve_theta(u[k:k + 1])):
+                assert col[k:k + 1].tobytes() == alone.tobytes(), us[k]
+
+    @settings(deadline=None)
+    @given(st.lists(rows, min_size=1, max_size=10), st.sampled_from([1, 2]))
+    def test_inversion_is_elementwise(self, rs, n):
+        zeta = np.array([[complex(*z) for z in zs[:n]] for zs, _ in rs])
+        t = np.array([t for _, t in rs])
+        together = geodesy._invert_arrays(zeta, t, want_chi=True)
+        for k in range(len(t)):
+            alone = geodesy._invert_arrays(zeta[k:k + 1], t[k:k + 1], want_chi=True)
+            for col, one in zip(together, alone):
+                assert col[k:k + 1].tobytes() == one.tobytes(), rs[k]
 
     @settings(deadline=None)
     @given(points, speeds, phases, thetas)
