@@ -130,7 +130,9 @@ _NEWTON_STEPS = 3
 def _m_series(theta):
     """m and m' for 0 <= theta <= _SERIES_THETA (a little beyond is fine),
     as polynomials in theta^2: no cancellation, no underflow near 0.  Both
-    series run in one Horner loop, with the steps of np.polyval."""
+    series run in one in-place Horner loop with the steps of np.polyval:
+    the same bits in half the array operations, which one-point solves
+    feel most."""
     w = np.asarray(theta * theta)
     y = np.zeros((2,) + w.shape)
     for coef in _SERIES.reshape(_SERIES.shape + (1,) * w.ndim):
@@ -261,7 +263,7 @@ def _solve_theta(u):
         k = np.count_nonzero(mask)
         if k == 0:
             continue
-        if k == mask.size:  # one branch takes every element: no gather
+        if k == mask.size:  # one branch takes every element, as in a one-point call
             theta, s, c = solve(au)
         else:
             theta[mask], s[mask], c[mask] = solve(au[mask])
@@ -277,21 +279,11 @@ def _v_factor(alpha):
     """V(a) = (a - sin a) / a^2, with series near 0."""
     alpha = np.asarray(alpha, dtype=float)
     small = np.abs(alpha) < 1e-3
-    k = np.count_nonzero(small)
-    if k == 0:
-        return _v_direct(alpha)
-    if k == small.size:
-        return _v_series(alpha)
-    return np.where(small, _v_series(np.where(small, alpha, 0.0)),
-                    _v_direct(np.where(small, 1.0, alpha)))
-
-
-def _v_series(a):
-    return a / 6.0 * (1.0 - a * a / 20.0 + a ** 4 / 840.0)
-
-
-def _v_direct(a):
-    return (a - np.sin(a)) / (a * a)
+    a_s = np.where(small, alpha, 0.0)
+    series = a_s / 6.0 * (1.0 - a_s * a_s / 20.0 + a_s ** 4 / 840.0)
+    a_b = np.where(small, 1.0, alpha)
+    direct = (a_b - np.sin(a_b)) / (a_b * a_b)
+    return np.where(small, series, direct)
 
 
 def _gamma_arrays(s, chi, theta):
@@ -331,36 +323,31 @@ def _invert_arrays(zeta, t, want_chi=False):
     at = np.abs(t)
     on_center = az < CENTER_TOL * np.sqrt(at)
     generic = ~(on_center | ((az == 0.0) & (t == 0.0)))
-    if generic.all():  # no center or zero entry: no gather or scatter
-        th, s, c = _solve_theta(t / (az * az))
-        ratio = _chi_ratio(th, s)
-        chi = zeta * ((c + 1j * s) * ratio)[..., None] if want_chi else None
-        return chi, th, az * ratio, ~on_center
+    # gather and scatter only when some entry is not generic
+    every = generic.all()
+    zeta_g, t_g, az_g = (zeta, t, az) if every else (zeta[generic], t[generic], az[generic])
+    th, s, c = _solve_theta(t_g / (az_g * az_g))
+    # |chi| / |zeta| = (theta/2) / sin(theta/2), and 1 at theta = 0
+    ratio = np.divide(0.5 * th, s, out=np.ones_like(s), where=s != 0.0)
+    dist_g = az_g * ratio
+    chi_g = zeta_g * ((c + 1j * s) * ratio)[..., None] if want_chi else None
+    if every:
+        return chi_g, th, dist_g, ~on_center
 
     theta = np.zeros_like(at)
     dist = np.zeros_like(at)
     chi = np.zeros_like(zeta) if want_chi else None
-
-    az_g = az[generic]
-    th, s, c = _solve_theta(t[generic] / (az_g * az_g))
-    ratio = _chi_ratio(th, s)
     theta[generic] = th
-    dist[generic] = az_g * ratio
+    dist[generic] = dist_g
     if want_chi:
-        chi[generic] = zeta[generic] * ((c + 1j * s) * ratio)[:, None]
+        chi[generic] = chi_g
 
-    if on_center.any():
-        r = np.sqrt(np.pi * at[on_center])
-        theta[on_center] = np.copysign(TWO_PI, t[on_center])
-        dist[on_center] = r
-        if want_chi:
-            chi[on_center, 0] = r
+    r = np.sqrt(np.pi * at[on_center])
+    theta[on_center] = np.copysign(TWO_PI, t[on_center])
+    dist[on_center] = r
+    if want_chi:
+        chi[on_center, 0] = r
     return chi, theta, dist, ~on_center
-
-
-def _chi_ratio(th, s):
-    """|chi| / |zeta| = (theta/2) / sin(theta/2), and 1 at theta = 0."""
-    return np.divide(0.5 * th, s, out=np.ones_like(s), where=s != 0.0)
 
 
 def gamma_inverse(y) -> InversionResult:
@@ -480,13 +467,13 @@ class PairTable:
         def work(start, stop):
             unique = self.unique[start:stop]
             if unique.all():  # every pair of the block: broadcast, no gather
-                z = _along(s, self.xs[start:stop, None], self.chi[start:stop],
-                           self.theta[start:stop])
+                x = self.xs[start:stop, None]
+                chi, theta = self.chi[start:stop], self.theta[start:stop]
             else:
                 ii, jj = np.nonzero(unique)
-                z = _along(s, self.xs[start + ii], self.chi[start:stop][ii, jj],
-                           self.theta[start:stop][ii, jj])
-            out[offsets[start]:offsets[stop]] = z.reshape(-1, out.shape[1])
+                x = self.xs[start + ii]
+                chi, theta = self.chi[start:stop][ii, jj], self.theta[start:stop][ii, jj]
+            out[offsets[start]:offsets[stop]] = _along(s, x, chi, theta).reshape(-1, out.shape[1])
 
         _for_row_blocks(work, *self.unique.shape)
         return out
