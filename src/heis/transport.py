@@ -1,14 +1,18 @@
 """Discrete optimal transport for the squared CC cost.
 
 W_2(mu, nu) = (min_pi sum_ij pi_ij d(x_i, y_j)^2)^{1/2} over couplings pi
-with the prescribed marginals.  The exact solver is scipy's HiGHS dual
-simplex on a shortlist of arcs, certified optimal by its duals on the full
-cost matrix; equal-size uniform clouds take the assignment-problem fast
-path (the optimal vertex is then a permutation).  Both paths, above 64
-atoms, start from the duals of the stride-2 sub-problem, c-transformed to
-the whole matrix (`_coarse_reduced`): the LP takes the arcs cheapest in
-that reduced cost as its first shortlist, and the assignment, where the
-rows' cheapest columns collide, solves the reduced cost.  The duals steer
+with the prescribed marginals.  The exact solver is the HiGHS dual simplex
+on a shortlist of arcs, certified optimal by its duals on the full cost
+matrix; equal-size uniform clouds take the assignment-problem fast path
+(the optimal vertex is then a permutation).  HiGHS is called through the
+core that scipy bundles (`scipy.optimize._highspy`), with the options
+`linprog(method="highs-ds")` passes, so the plans are `linprog`'s bit for
+bit without its per-call Python overhead (`_highs_solve`).  Both paths,
+above 64 atoms, start from the duals of the stride-2 sub-problem,
+c-transformed to the whole matrix (`_coarse_reduced`): the LP takes the
+arcs cheapest in that reduced cost as its first shortlist, and the
+assignment, where the rows' cheapest columns collide, solves the reduced
+cost.  The duals steer
 the search only: the LP is certified on the raw cost, and the reduction
 shifts every permutation's cost by one constant, so both plans are exact
 optima.  A cost matrix holding NaN or inf is rejected (ValueError): it
@@ -25,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy._core import (HighsDebugLevel, HighsLp, HighsModelStatus,
+                                           HighsOptions, MatrixFormat, _Highs, kHighsInf,
+                                           simplex_constants)
 from scipy.special import logsumexp
 
 from . import geodesy
@@ -181,14 +187,8 @@ def _lp_plan(cost, a, b):
     keep[_northwest_corner(a, b)] = True
     while True:
         ii, jj = np.nonzero(keep)
-        # column k of A_eq is arc (ii[k], jj[k]): a 1 in row ii[k] and in row m + jj[k]
-        A_eq = sparse.csc_array((np.ones(2 * len(ii)), np.column_stack([ii, m + jj]).ravel(),
-                                 np.arange(0, 2 * len(ii) + 1, 2)), shape=(m + n, len(ii)))
-        res = linprog(cost[ii, jj], A_eq=A_eq, b_eq=np.concatenate([a, b]),
-                      bounds=(0, None), method="highs-ds", options=_HIGHS_TOLERANCES)
-        if res.status != 0:
-            raise RuntimeError(f"HiGHS failed on the transport LP: {res.message}")
-        y = res.eqlin.marginals
+        x, y = _highs_solve(cost[ii, jj], np.column_stack([ii, m + jj]).ravel(),
+                            np.concatenate([a, b]))
         reduced = cost - y[:m, None] - y[None, m:]
         outside = np.where(keep, np.inf, reduced)
         new = _cheapest(outside, 1) & (outside < -tol)
@@ -197,8 +197,52 @@ def _lp_plan(cost, a, b):
         keep |= new
     if reduced.min() < -tol:
         raise RuntimeError(f"LP plan not certified: reduced cost {reduced.min():.3e} < -{tol:.3e}")
-    pos = res.x > 0
-    return ii[pos], jj[pos], res.x[pos], y
+    pos = x > 0
+    return ii[pos], jj[pos], x[pos], y
+
+
+def _highs_solve(c, rows, rhs):
+    """min c.x subject to A x = rhs, x >= 0, where column k of A holds a 1
+    in rows rows[2k] and rows[2k + 1]; returns x and the row duals.
+
+    This is `linprog(method="highs-ds", options=_HIGHS_TOLERANCES)` without
+    its Python wrapper: the same HiGHS core that scipy bundles, the same
+    options (presolve, dual simplex, no output), so the same bits.  Raises
+    RuntimeError unless HiGHS reports an optimum with finite x and duals
+    (a NaN dual would pass the certificate: nan < -tol is False).
+    """
+    k, r = len(c), len(rhs)
+    lp = HighsLp()
+    lp.num_col_, lp.num_row_ = k, r
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(k)
+    lp.col_upper_ = np.full(k, kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = rhs
+    A = lp.a_matrix_
+    A.format_ = MatrixFormat.kColwise
+    A.num_col_, A.num_row_ = k, r
+    A.start_ = np.arange(0, 2 * k + 1, 2)
+    A.index_ = rows
+    A.value_ = np.ones(2 * k)
+    options = HighsOptions()
+    for key, value in {"presolve": "on", "solver": "simplex",
+                       "simplex_strategy": simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+                       "highs_debug_level": HighsDebugLevel.kHighsDebugLevelNone,
+                       "output_flag": False, "log_to_console": False,
+                       **_HIGHS_TOLERANCES}.items():
+        setattr(options, key, value)
+    highs = _Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"HiGHS failed on the transport LP: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x, y = np.array(solution.col_value), np.array(solution.row_dual)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise RuntimeError("HiGHS failed on the transport LP: non-finite solution")
+    return x, y
 
 
 def _coarse_reduced(cost, col_duals):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 
 from heis import core, geodesy, transport
 from heis.measures import BoxRegion, DiscreteMeasure, estimate_volume, normalized_measure
@@ -116,8 +117,6 @@ class TestSolveExact:
             assert np.round(plan.cost, 12) == np.round(want, 12)
 
     def test_lp_matches_linprog(self):
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(3)
         for trial in range(8):
             m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -181,22 +180,28 @@ class TestSolveExact:
         q = composition(rng, int(p.sum()), n)
         solves = []
 
-        def recording_linprog(*args, linprog=transport.linprog, **kw):
-            solves.append(linprog(*args, **kw))
+        def recording_solve(*args, solve=transport._highs_solve):
+            solves.append(solve(*args))
             return solves[-1]
 
-        monkeypatch.setattr(transport, "linprog", recording_linprog)
+        monkeypatch.setattr(transport, "_highs_solve", recording_solve)
         plan = solve_exact(CostMatrix(C), p / p.sum(), q / p.sum())
         assert len(solves) >= 2
-        y = solves[-1].eqlin.marginals
+        y = solves[-1][1]
         assert np.min(C - y[:m, None] - y[None, m:]) >= -1e-11 * np.max(C)
         assert abs(plan.cost - replicated_assignment_cost(C, p, q)) <= 1e-12 * np.max(C)
 
     def test_highs_failure_raises(self, monkeypatch):
+        class Capped(transport._Highs):
+            # with presolve off and no simplex iteration allowed, HiGHS stops short
+            def passOptions(self, options):
+                options.presolve = "off"
+                options.simplex_iteration_limit = 0
+                return super().passOptions(options)
+
         C = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-        monkeypatch.setattr(transport, "linprog", lambda *args, **kw: OptimizeResult(
-            status=4, message="Numerical difficulties encountered."))
-        with pytest.raises(RuntimeError, match="Numerical difficulties"):
+        monkeypatch.setattr(transport, "_Highs", Capped)
+        with pytest.raises(RuntimeError, match="HiGHS failed .*: Iteration limit reached"):
             solve_exact(CostMatrix(C), [0.2, 0.3, 0.5], [0.6, 0.4])
 
     def test_uncertified_duals_raise(self, monkeypatch):
@@ -204,12 +209,12 @@ class TestSolveExact:
         # small every arc is shortlisted already, so no round can repair it
         C = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
 
-        def shifted_duals(*args, linprog=transport.linprog, **kw):
-            res = linprog(*args, **kw)
-            res.eqlin.marginals[0] += 1.0
-            return res
+        def shifted_duals(*args, solve=transport._highs_solve):
+            x, y = solve(*args)
+            y[0] += 1.0
+            return x, y
 
-        monkeypatch.setattr(transport, "linprog", shifted_duals)
+        monkeypatch.setattr(transport, "_highs_solve", shifted_duals)
         with pytest.raises(RuntimeError, match="not certified"):
             solve_exact(CostMatrix(C), [0.2, 0.3, 0.5], [0.6, 0.4])
 
@@ -416,15 +421,15 @@ def two_level_grid(shape, flip):
 
 
 @pytest.fixture
-def linprog_b_eq(monkeypatch):
-    """The b_eq (row then column marginals) of each `linprog` call transport makes."""
+def lp_rhs(monkeypatch):
+    """The right-hand side (row then column marginals) of each LP transport solves."""
     calls = []
 
-    def recording(*args, linprog=transport.linprog, **kw):
-        calls.append(kw["b_eq"])
-        return linprog(*args, **kw)
+    def recording(c, rows, rhs, solve=transport._highs_solve):
+        calls.append(rhs)
+        return solve(c, rows, rhs)
 
-    monkeypatch.setattr(transport, "linprog", recording)
+    monkeypatch.setattr(transport, "_highs_solve", recording)
     return calls
 
 
@@ -458,7 +463,7 @@ class TestWarmLp:
         tol = 1e-11 * max(1.0, np.max(cost))
         assert np.min(cost - y[:m, None] - y[None, m:]) >= -tol
 
-    def test_stride_two_sub_problem_is_solved(self, linprog_b_eq):
+    def test_stride_two_sub_problem_is_solved(self, lp_rhs):
         m, n = 140, 130
         mu, nu = box_clouds(n, 50, "offset", m=m)
         rng = np.random.default_rng(51)
@@ -466,11 +471,11 @@ class TestWarmLp:
         a /= a.sum()
         b /= b.sum()
         solve_exact(cost_matrix(mu, nu), a, b)
-        sizes = [len(b_eq) for b_eq in linprog_b_eq]
+        sizes = [len(rhs) for rhs in lp_rhs]
         # 140 x 130 -> 70 x 65 -> 35 x 33 (cold), each level's rounds in turn
         assert sorted(set(sizes), key=sizes.index) == [35 + 33, 70 + 65, 140 + 130]
         b = b * (a.sum() / b.sum())  # as solve_exact matches the sums
-        sub = next(b_eq for b_eq in linprog_b_eq if len(b_eq) == 70 + 65)
+        sub = next(rhs for rhs in lp_rhs if len(rhs) == 70 + 65)
         assert np.array_equal(sub, np.concatenate([a[::2] / a[::2].sum(), b[::2] / b[::2].sum()]))
 
     @pytest.mark.parametrize("shape", [(8, 4, 4), (8, 8, 8)], ids=["bench", "c13"])
@@ -493,6 +498,54 @@ class TestWarmLp:
         assert (int(np.prod(shape)),) * 2 in calls  # the warm branch ran
         monkeypatch.setattr(transport, "_coarse_reduced", lambda cost, col_duals: cost)
         assert warm == run()
+
+
+class TestHighsSolve:
+    """`_highs_solve` against the `linprog` call it replaces."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 5), (5, 13), (40, 33)],
+                             ids=["2x2", "7x5", "5x13", "40x33"])
+    @pytest.mark.parametrize("kind", ["random", "tied", "northwest"])
+    def test_bits_match_linprog(self, kind, shape):
+        # fails loudly if a scipy upgrade changes the bundled HiGHS core
+        m, n = shape
+        rng = np.random.default_rng(m * n)
+        cost = rng.integers(0, 4, shape).astype(float) if kind == "tied" else rng.random(shape)
+        a, b = rng.random(m) + 0.05, rng.random(n) + 0.05
+        a /= a.sum()
+        b *= a.sum() / b.sum()
+        keep = np.zeros(shape, dtype=bool) if kind == "northwest" else transport._cheapest(cost, 2)
+        keep[transport._northwest_corner(a, b)] = True
+        ii, jj = np.nonzero(keep)
+        rows, rhs = np.column_stack([ii, m + jj]).ravel(), np.concatenate([a, b])
+        x, y = transport._highs_solve(cost[ii, jj], rows, rhs)
+        A_eq = sparse.csc_array((np.ones(len(rows)), rows, np.arange(0, len(rows) + 1, 2)),
+                                shape=(m + n, len(ii)))
+        res = linprog(cost[ii, jj], A_eq=A_eq, b_eq=rhs, bounds=(0, None),
+                      method="highs-ds", options=transport._HIGHS_TOLERANCES)
+        assert res.status == 0
+        assert np.array_equal(x, res.x)
+        assert np.array_equal(y, res.eqlin.marginals)
+
+    def test_unequal_sums_raise_infeasible(self):
+        # row sums 1, column sums 1.2: no coupling exists
+        C = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(RuntimeError, match="HiGHS failed .*: Infeasible"):
+            transport._lp_plan(C, np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("field", ["col_value", "row_dual"])
+    def test_non_finite_solution_raises(self, monkeypatch, field):
+        class NanSolution(transport._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                values = getattr(solution, field)
+                setattr(solution, field, [np.nan] + list(values[1:]))
+                return solution
+
+        C = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        monkeypatch.setattr(transport, "_Highs", NanSolution)
+        with pytest.raises(RuntimeError, match="HiGHS failed .*: non-finite"):
+            solve_exact(CostMatrix(C), [0.2, 0.3, 0.5], [0.6, 0.4])
 
 
 class TestNonFiniteCost:
