@@ -403,9 +403,24 @@ def _cell_index(points, h):
     return np.floor(np.asarray(points, dtype=float) / h).astype(np.int64)
 
 
+def _row_labels(idx):
+    """np.unique(idx, axis=0, return_inverse=True) of a 2-D int array by one
+    lexsort: the distinct rows in lexicographic order, and the index of each
+    row among them."""
+    order = np.lexsort(idx.T[::-1])
+    rows = idx[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = rows[1:, 0] != rows[:-1, 0]
+    for j in range(1, rows.shape[1]):
+        new[1:] |= rows[1:, j] != rows[:-1, j]
+    labels = np.empty(len(rows), dtype=np.intp)
+    labels[order] = np.cumsum(new) - 1
+    return rows[new], labels
+
+
 def _cell_labels(points, h):
     """Label of each point's grid cell; equal labels mean the same cell."""
-    return np.unique(_cell_index(points, h), axis=0, return_inverse=True)[1]
+    return _row_labels(_cell_index(points, h))[1]
 
 
 def _label_density(labels, weights, h, d):
@@ -526,7 +541,7 @@ def step_approximate(m: DiscreteMeasure, K: Region, depth: int) -> StepMeasure:
 
     rel = (m.points - box[:, 0]) / widths
     idx = np.clip(np.floor(rel).astype(np.int64), 0, counts - 1)
-    cells, inv = np.unique(idx, axis=0, return_inverse=True)
+    cells, inv = _row_labels(idx)
     masses = np.bincount(inv, weights=m.weights, minlength=len(cells))
 
     keep = masses > 0
@@ -553,7 +568,43 @@ class VolumeEstimate:
 
 
 def _encode(idx, lo, shape):
-    return np.ravel_multi_index((idx - lo).T, shape)
+    """Keys of cells inside the grid (lo, shape) in C order, one column at a
+    time: np.ravel_multi_index((idx - lo).T, shape)."""
+    key = idx[:, 0] - lo[0]
+    for j in range(1, idx.shape[1]):
+        key = key * shape[j] + (idx[:, j] - lo[j])
+    return key
+
+
+def _sorted_unique(keys):
+    """np.unique of 1-D int keys: a sort, then a mask of each key that
+    differs from its left neighbour (numpy's unique hashes integer keys,
+    which is slower)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _sq_norm(z):
+    """np.sum(z * z, axis=1), bit for bit.  numpy adds the terms of a row of
+    up to 7 columns left to right, which a sum one column at a time repeats
+    without numpy's slow reduction along a short axis; from 8 columns on it
+    groups the terms, and the sum is numpy's own."""
+    if z.shape[1] >= 8:
+        return np.sum(z * z, axis=1)
+    out = z[:, 0] * z[:, 0]
+    for j in range(1, z.shape[1]):
+        out += z[:, j] * z[:, j]
+    return out
+
+
+def _in_box(idx, lo, hi):
+    """np.all((idx >= lo) & (idx < hi), axis=1), one column at a time."""
+    ok = (idx[:, 0] >= lo[0]) & (idx[:, 0] < hi[0])
+    for j in range(1, idx.shape[1]):
+        ok &= (idx[:, j] >= lo[j]) & (idx[:, j] < hi[j])
+    return ok
 
 
 def _within(xs, ys, r):
@@ -563,11 +614,10 @@ def _within(xs, ys, r):
     sqrt(pi |dt| / 2) <= d and d <= |dzeta| + sqrt(pi |dt|) settle most
     pairs; the rest take the root solve.
     """
-    diff = ys[:, :-1] - xs[:, :-1]
-    dz2 = np.sum(diff * diff, axis=1)
+    dz2 = _sq_norm(ys[:, :-1] - xs[:, :-1])
     out = np.zeros(len(xs), dtype=bool)
     live = np.flatnonzero(dz2 <= r * r)
-    dzeta, dt = geodesy._twisted_difference(xs[live], ys[live])
+    dzeta, dt = geodesy._twisted_difference(np.take(xs, live, axis=0), np.take(ys, live, axis=0))
     adt = np.abs(dt)
     keep = np.pi * adt / 2.0 <= r * r
     live, dz2, adt, dzeta, dt = live[keep], dz2[live][keep], adt[keep], dzeta[keep], dt[keep]
@@ -600,17 +650,17 @@ def _covered_cells_r(points, r, h, lo, shape):
     """
     d = points.shape[1]
     n = (d - 1) // 2
-    zr = points[:, :-1]
+    zr = np.ascontiguousarray(points[:, :-1])
     base = np.floor(zr / h).astype(np.int64)
     w_t = 2.0 * r * r / np.pi
     found = []
     for off in _zeta_offsets(n, r, h, 0.5)[0]:
         czeta = (base + off + 0.5) * h
-        near = np.sum((czeta - zr) ** 2, axis=1) <= r * r
-        if not np.any(near):
+        near = np.flatnonzero(_sq_norm(czeta - zr) <= r * r)
+        if len(near) == 0:
             continue
-        czeta_n = czeta[near]
-        pts_n = points[near]
+        czeta_n = np.take(czeta, near, axis=0)
+        pts_n = np.take(points, near, axis=0)
         # t of x^{-1} c is t_c - t_p - 2 sum Im(zeta_p conj(zeta_c));
         # require |that| <= w_t, i.e. t_c in [t_p + tw - w_t, t_p + tw + w_t]
         tw = core._twist(pts_n[:, :-1], czeta_n)
@@ -623,35 +673,33 @@ def _covered_cells_r(points, r, h, lo, shape):
             continue
         rep, ks = _ranges_concat(k_min, counts)
         cand_ctr = np.empty((len(rep), d))
-        cand_ctr[:, :-1] = czeta_n[rep]
+        cand_ctr[:, :-1] = np.take(czeta_n, rep, axis=0)
         cand_ctr[:, -1] = (ks + 0.5) * h
-        hit = _within(pts_n[rep], cand_ctr, r)
-        if not np.any(hit):
+        hit = np.flatnonzero(_within(np.take(pts_n, rep, axis=0), cand_ctr, r))
+        if len(hit) == 0:
             continue
-        cidx = np.empty((int(hit.sum()), d), dtype=np.int64)
-        cidx[:, :-1] = base[near][rep[hit]] + off
+        cidx = np.empty((len(hit), d), dtype=np.int64)
+        cidx[:, :-1] = np.take(base, near[rep[hit]], axis=0) + off
         cidx[:, -1] = ks[hit]
-        ok = np.all((cidx >= lo) & (cidx < lo + np.asarray(shape)), axis=1)
+        ok = _in_box(cidx, lo, lo + np.asarray(shape))
         if np.any(ok):
             found.append(_encode(cidx[ok], lo, shape))
     if not found:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(found))
+    return _sorted_unique(np.concatenate(found))
 
 
 def _boundary_mask(cells_idx, occupied_keys, lo, shape):
-    """Occupied cells with at least one unoccupied (or off-grid) face neighbor."""
-    d = cells_idx.shape[1]
+    """Occupied cells with at least one unoccupied (or off-grid) face neighbor.
+    Row i of `cells_idx` is the cell of `occupied_keys[i]`; its neighbour one
+    step along an axis has that key +- the axis's stride."""
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     boundary = np.zeros(len(cells_idx), dtype=bool)
-    for ax in range(d):
-        for step in (-1, 1):
-            nb = cells_idx.copy()
-            nb[:, ax] += step
-            ok = (nb[:, ax] >= lo[ax]) & (nb[:, ax] < lo[ax] + shape[ax])
-            keys = np.full(len(nb), -1, dtype=np.int64)
-            if np.any(ok):
-                keys[ok] = _encode(nb[ok], lo, shape)
-            boundary |= ~ok | ~_in_sorted(keys, occupied_keys)
+    for ax, stride in enumerate(strides.tolist()):
+        col = cells_idx[:, ax]
+        boundary |= (col == lo[ax]) | (col == lo[ax] + shape[ax] - 1)
+        for step in (-stride, stride):
+            boundary |= ~_in_sorted(occupied_keys + step, occupied_keys)
     return boundary
 
 
@@ -696,10 +744,11 @@ def _sheared_index(points, h) -> _ShearedIndex:
     zp = points[:, :-1]
     cell_p = np.floor(zp / h).astype(np.int64)
     k_p = np.floor((points[:, -1] - core._twist((cell_p + 0.5) * h, zp)) / h).astype(np.int64)
-    z_lo = cell_p.min(axis=0)
+    z_lo = np.array([col.min() for col in cell_p.T])
+    z_hi = np.array([col.max() for col in cell_p.T])
     k_lo, k_hi = int(k_p.min()), int(k_p.max())
-    shape = tuple((cell_p.max(axis=0) - z_lo + 1).tolist()) + (k_hi - k_lo + 1,)
-    keys = np.ravel_multi_index((*(cell_p - z_lo).T, k_p - k_lo), shape)
+    shape = tuple((z_hi - z_lo + 1).tolist()) + (k_hi - k_lo + 1,)
+    keys = _encode(cell_p, z_lo, shape[:-1]) * shape[-1] + (k_p - k_lo)
     order = np.argsort(keys)  # no consumer depends on the order of ties
     return _ShearedIndex(points, h, z_lo, k_lo, k_hi, shape, order, keys[order])
 
@@ -731,26 +780,25 @@ def _shell_points(index, occupied, r, lo, shape):
     k = gidx[:, -1] + index.k_lo
     c0 = (cell + 0.5) * h
     margin = 1e-9 * (1.0 + np.abs(k * h) + h
-                     + (np.sqrt(np.sum(c0 * c0, axis=1)) + r + h) ** 2)
+                     + (np.sqrt(_sq_norm(c0)) + r + h) ** 2)
     w_t = 2.0 * r * r / np.pi
     lo_z, hi_z = lo[:-1], lo[:-1] + np.asarray(shape[:-1])
     lo_t, hi_t = lo[-1], lo[-1] + shape[-1] - 1
     interior = np.arange(len(tested))
     for off in _zeta_offsets(n, r, h, 0.5)[0]:
-        col = cell[interior] + off
-        on_grid = np.all((col >= lo_z) & (col < hi_z), axis=1)
-        T = core._twist(c0[interior[on_grid]], off * h)
-        e = w_t + h * h * np.sum(np.abs(off)) + margin[interior[on_grid]]
-        kg = k[interior[on_grid]]
-        j0 = np.maximum(kg + np.ceil((T - e) / h - 0.5).astype(np.int64), lo_t)
-        j1 = np.minimum(kg + np.floor((T + e) / h + 0.5).astype(np.int64), hi_t)
-        zcol = tuple((col[on_grid] - lo_z).T)
-        c_lo = np.searchsorted(occupied, np.ravel_multi_index((*zcol, j0 - lo_t), shape,
-                                                              mode="clip"), side="left")
-        c_hi = np.searchsorted(occupied, np.ravel_multi_index((*zcol, j1 - lo_t), shape,
-                                                              mode="clip"), side="right")
+        col = np.take(cell, interior, axis=0) + off
+        on = np.flatnonzero(_in_box(col, lo_z, hi_z))
+        g = interior[on]
+        T = core._twist(np.take(c0, g, axis=0), off * h)
+        e = w_t + h * h * np.sum(np.abs(off)) + margin[g]
+        j0 = np.maximum(k[g] + np.ceil((T - e) / h - 0.5).astype(np.int64), lo_t)
+        j1 = np.minimum(k[g] + np.floor((T + e) / h + 0.5).astype(np.int64), hi_t)
+        # keys of (column, j0) and (column, j1); an empty range's are not read
+        zkey = _encode(np.take(col, on, axis=0), lo_z, shape[:-1]) * shape[-1] - lo_t
+        c_lo = np.searchsorted(occupied, zkey + j0, side="left")
+        c_hi = np.searchsorted(occupied, zkey + j1, side="right")
         full = np.ones(len(interior), dtype=bool)
-        full[on_grid] = (j0 > j1) | (c_hi - c_lo == j1 - j0 + 1)
+        full[on] = (j0 > j1) | (c_hi - c_lo == j1 - j0 + 1)
         interior = interior[full]
         if len(interior) == 0:
             break
@@ -758,7 +806,7 @@ def _shell_points(index, occupied, r, lo, shape):
     dropped[tested[interior]] = True
     keep = np.ones(len(sk), dtype=bool)
     keep[index.order[dropped[np.cumsum(change) - 1]]] = False
-    return index.points[keep]
+    return np.compress(keep, index.points, axis=0)
 
 
 def _covered_queries(queries, index, r):
@@ -779,43 +827,52 @@ def _covered_queries(queries, index, r):
     points, h, order, sorted_keys = index.points, index.h, index.order, index.sorted_keys
     z_lo, k_lo, k_hi, shape = index.z_lo, index.k_lo, index.k_hi, index.shape
 
-    zq = queries[:, :-1]
+    zq = np.ascontiguousarray(queries[:, :-1])
     tq = queries[:, -1]
     base = np.floor(zq / h).astype(np.int64)
-    zq_abs = np.sqrt(np.sum(zq ** 2, axis=1))
+    zq_abs = np.sqrt(_sq_norm(zq))
     w_t = 2.0 * r * r / np.pi
     margin = 1e-9 * (1.0 + np.abs(tq) + (zq_abs + r + h) ** 2)
     offsets, reach = _zeta_offsets(n, r, h, 1.0)
-    offsets = offsets[np.argsort(reach, kind="stable")]
+    # nearest cells first, the probe's own cell before all: most probes are
+    # covered there and leave the search
+    offsets = offsets[np.lexsort((_sq_norm(offsets), reach))]
     z_hi = z_lo + np.asarray(shape[:-1])
     slack = 1e-9 * (1.0 + zq_abs + r + h)
+    live = np.arange(len(queries))  # the probes not yet covered
     for off in offsets:
-        cell = base + off
+        zl = np.take(zq, live, axis=0)
+        cell = np.take(base, live, axis=0) + off
         # gap from zeta_q to the neighbour cell, per axis
-        gap = np.where(off > 0, cell * h - zq, np.where(off < 0, zq - (cell + 1) * h, 0.0))
-        gap2 = np.sum(np.maximum(gap, 0.0) ** 2, axis=1)
-        ok = np.all((cell >= z_lo) & (cell < z_hi), axis=1) & ~covered
-        qi = np.nonzero(ok & (gap2 <= (r + slack) ** 2))[0]
-        if len(qi) == 0:
+        gap = np.zeros(cell.shape)
+        for j, o in enumerate(off.tolist()):
+            if o > 0:
+                gap[:, j] = cell[:, j] * h - zl[:, j]
+            elif o < 0:
+                gap[:, j] = zl[:, j] - (cell[:, j] + 1) * h
+        gap2 = _sq_norm(np.maximum(gap, 0.0))
+        sel = np.flatnonzero(_in_box(cell, z_lo, z_hi) & (gap2 <= (r + slack[live]) ** 2))
+        if len(sel) == 0:
             continue
-        cell = cell[qi]
-        b = zq[qi] - (cell + 0.5) * h
-        Q = tq[qi] + core._twist(b, zq[qi])
-        w = w_t + 2.0 * np.sqrt(np.sum(b * b, axis=1)) * r + margin[qi]
+        qi, cell, zs = live[sel], np.take(cell, sel, axis=0), np.take(zl, sel, axis=0)
+        b = zs - (cell + 0.5) * h
+        Q = tq[qi] + core._twist(b, zs)
+        w = w_t + 2.0 * np.sqrt(_sq_norm(b)) * r + margin[qi]
         k0 = np.maximum(np.floor((Q - w) / h).astype(np.int64), k_lo)
         k1 = np.minimum(np.floor((Q + w) / h).astype(np.int64), k_hi)
-        nonempty = k0 <= k1
-        qi, cell, k0, k1 = qi[nonempty], cell[nonempty], k0[nonempty], k1[nonempty]
-        zcell = tuple((cell - z_lo).T)
-        p0 = np.searchsorted(sorted_keys, np.ravel_multi_index((*zcell, k0 - k_lo), shape),
-                             side="left")
-        p1 = np.searchsorted(sorted_keys, np.ravel_multi_index((*zcell, k1 - k_lo), shape),
-                             side="right")
-        rep, pos = _ranges_concat(p0, p1 - p0)
+        # the neighbour cell's points with k0 <= k <= k1, none where k0 > k1
+        zkey = _encode(cell, z_lo, shape[:-1]) * shape[-1] - k_lo
+        p0 = np.searchsorted(sorted_keys, zkey + k0, side="left")
+        p1 = np.searchsorted(sorted_keys, zkey + k1, side="right")
+        rep, pos = _ranges_concat(p0, np.maximum(p1 - p0, 0))
         if len(rep) == 0:
             continue
         qi = qi[rep]
-        covered[qi[_within(queries[qi], points[order[pos]], r)]] = True
+        hit = _within(np.take(queries, qi, axis=0), np.take(points, order[pos], axis=0), r)
+        covered[qi[hit]] = True
+        live = live[~covered[live]]
+        if len(live) == 0:
+            break
     return covered
 
 
@@ -825,11 +882,11 @@ def _cloud_grid(points, r, h):
     and its t is within 2 r^2 / pi plus the twist 2 |zeta_p| r of t_p.  The
     grid covers the cloud's box padded by that reach and two cells, and one
     cell more at each end."""
-    zmax = float(np.max(np.sqrt(np.sum(points[:, :-1] ** 2, axis=1))))
+    zmax = float(np.sqrt(np.max(_sq_norm(points[:, :-1]))))
     pad = np.full(points.shape[1], r + 2 * h)
     pad[-1] = 2.0 * r * r / np.pi + 2.0 * (zmax + r) * r + 2 * h
-    lo = np.floor((points.min(axis=0) - pad) / h).astype(np.int64) - 1
-    hi = np.floor((points.max(axis=0) + pad) / h).astype(np.int64) + 2
+    lo = np.floor((np.array([col.min() for col in points.T]) - pad) / h).astype(np.int64) - 1
+    hi = np.floor((np.array([col.max() for col in points.T]) + pad) / h).astype(np.int64) + 2
     return lo, tuple((hi - lo).tolist())
 
 
@@ -847,8 +904,8 @@ def estimate_volume(points, r: float, h: float) -> VolumeEstimate:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         return VolumeEstimate(0.0, 0.0)
-    if r < 0 or h <= 0:
-        raise ValueError("need r >= 0 and h > 0")
+    if not (np.isfinite(r) and np.isfinite(h) and r >= 0 and h > 0):
+        raise ValueError(f"need finite r >= 0 and h > 0, got r={r}, h={h}")
     if r > 0 and h > r:
         warnings.warn("grid cell size h exceeds thickening radius r; "
                       "occupancy is under-resolved", stacklevel=2)
@@ -859,15 +916,15 @@ def estimate_volume(points, r: float, h: float) -> VolumeEstimate:
     d = points.shape[1]
     lo, shape = _cloud_grid(points, r, h)
 
-    idx = _cell_index(points, h)
-    base_keys = np.unique(_encode(idx, lo, shape))
+    base_keys = _sorted_unique(_encode(_cell_index(points, h), lo, shape))
     searched = 0
     if r > 0:
         # one sheared index serves the prune and the boundary probes
         index = _sheared_index(points, h)
         shell = _shell_points(index, base_keys, r, lo, shape)
         searched = len(shell)
-        keys = np.union1d(base_keys, _covered_cells_r(shell, r, h, lo, shape))
+        covered = _covered_cells_r(shell, r, h, lo, shape)
+        keys = _sorted_unique(np.concatenate([base_keys, covered]))
     else:
         keys = base_keys
 

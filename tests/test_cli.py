@@ -216,6 +216,11 @@ class TestVerifyCommands:
         (["geodesic", "[1,0]", "3.14", "--samples", "0"], "--samples must be at least 1"),
         (["verify-bbl", "--cells", "0"], "grid must have at least one cell"),
         (["verify-bbl", "--cells", "-2"], "got shape (-2, -2, -2)"),
+        (["verify-bmi", "--N", "20", "--s", "0.5", "--r", "nan"], "got r=nan, h=0.1"),
+        (["verify-bmi", "--N", "20", "--s", "0.5", "--r", "inf"], "got r=inf, h=0.1"),
+        (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "nan"], "got r=0.05, h=nan"),
+        (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "inf"], "got r=0.05, h=inf"),
+        (["verify-sbmi", "--N", "20", "--s", "0.5", "--r", "nan"], "got r=nan, h=0.1"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):

@@ -402,6 +402,13 @@ class TestEstimateVolume:
             with pytest.raises(ValueError, match=match):
                 estimate_volume(np.array(pts), r, 0.1)
 
+    @pytest.mark.parametrize("r, h", [(np.nan, 0.1), (np.inf, 0.1), (0.1, np.nan), (0.1, np.inf),
+                                      (-0.1, 0.1), (0.1, 0.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_r_or_h_rejected(self, r, h):
+        with pytest.raises(ValueError, match="need finite r >= 0 and h > 0"):
+            estimate_volume(np.array([[0.5, 0.5, 0.5]]), r, h)
+
     def test_stderr_positive_for_sparse_cloud(self):
         rng = np.random.default_rng(11)
         pts = rng.random((30, 3))
@@ -561,6 +568,95 @@ class TestBoundaryMask:
         mask = measures._boundary_mask(cells[order], keys[order], lo, shape)
         assert mask.sum() == 26
         assert not mask[np.all(cells[order] == 2, axis=1)][0]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from([3, 5]), st.floats(0.2, 0.95), st.integers(0, 2 ** 32 - 1))
+    def test_faces_match_brute_force(self, d, density, seed):
+        # random occupied sets on small grids, some cells on the grid's faces
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(1, 6, d))
+        lo = rng.integers(-3, 4, d)
+        cells = np.stack(np.meshgrid(*[np.arange(m) for m in shape], indexing="ij"),
+                         -1).reshape(-1, d) + lo
+        cells = cells[rng.random(len(cells)) < density]
+        keys = np.ravel_multi_index((cells - lo).T, shape)
+        order = np.argsort(keys)
+        cells, keys = cells[order], keys[order]
+        occupied = set(map(tuple, cells.tolist()))
+        want = []
+        for c in cells.tolist():
+            free = False
+            for ax in range(d):
+                for step in (-1, 1):
+                    nb = list(c)
+                    nb[ax] += step
+                    off_grid = not lo[ax] <= nb[ax] < lo[ax] + shape[ax]
+                    free |= off_grid or tuple(nb) not in occupied
+            want.append(free)
+        assert measures._boundary_mask(cells, keys, lo, shape).tolist() == want
+
+
+@st.composite
+def int_rows(draw):
+    """Int arrays of 0-200 rows and 1-5 columns, from a small range (many
+    repeated rows, negative entries) or at a scale of 1e12, where a key
+    raveled from the rows would overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(0, 200)), draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([3, 10 ** 12]))
+    return rng.integers(-bound, bound + 1, (rows, cols))
+
+
+class TestBitEqualHelpers:
+    """The occupancy and histogram helpers that stand in for numpy's slower
+    generic paths give numpy's own outputs, bit for bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.one_of(st.integers(-5, 5), st.integers(-2 ** 62, 2 ** 62)), max_size=60))
+    def test_sorted_unique_is_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        got = measures._sorted_unique(keys)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(keys))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from([2, 4, 6, 8, 14]), st.integers(1, 300),
+           st.floats(-8.0, 8.0), st.integers(0, 2 ** 32 - 1))
+    def test_sq_norm_is_numpy_sum(self, width, rows, log_scale, seed):
+        # magnitudes spread over 1e-8 to 1e8; the callers pass the zeta
+        # columns of a cloud, a strided view
+        rng = np.random.default_rng(seed)
+        cloud = rng.normal(size=(rows, width + 1)) * 10.0 ** rng.uniform(-8.0, 8.0,
+                                                                         (rows, width + 1))
+        for z in (cloud[:, :-1], 10.0 ** log_scale * np.ascontiguousarray(cloud[:, :-1])):
+            assert np.array_equal(measures._sq_norm(z), np.sum(z * z, axis=1))
+
+    @pytest.mark.parametrize("width", [2, 3, 7, 8, 14])
+    def test_sq_norm_long_arrays(self, width):
+        z = np.random.default_rng(width).normal(size=(8193, width)) * 1e3
+        for rows in (1, 7, 8, 9, 1024, 8193):
+            assert np.array_equal(measures._sq_norm(z[:rows]), np.sum(z[:rows] ** 2, axis=1))
+
+    @settings(deadline=None, max_examples=100)
+    @given(int_rows())
+    def test_row_labels_are_unique_rows(self, idx):
+        cells, labels = measures._row_labels(idx)
+        want_cells, want_labels = np.unique(idx, axis=0, return_inverse=True)
+        assert np.array_equal(cells, want_cells)
+        assert np.array_equal(labels, want_labels.ravel())
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from([1, 2, 3, 5]), st.integers(0, 2 ** 32 - 1))
+    def test_encode_and_in_box(self, d, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(1, 40, d))
+        lo = rng.integers(-10 ** 6, 10 ** 6, d)
+        idx = lo + rng.integers(0, shape, (int(rng.integers(0, 200)), d))
+        assert np.array_equal(measures._encode(idx, lo, shape),
+                              np.ravel_multi_index((idx - lo).T, shape))
+        box_lo, box_hi = lo + rng.integers(0, 5, d), lo + rng.integers(0, 40, d)
+        assert np.array_equal(measures._in_box(idx, box_lo, box_hi),
+                              np.all((idx >= box_lo) & (idx < box_hi), axis=1))
 
 
 class TestRejectionGuard:
