@@ -273,11 +273,14 @@ def _cmd_verify_bbl(args) -> int:
 
 def _cmd_step_limit(args) -> int:
     cfg = _load_config(args)
+    if args.s and len(cfg.s_values) > 1:
+        raise ValueError(f"step-limit runs at one s; --s {args.s} gives {len(cfg.s_values)}")
     depths = [int(v) for v in args.depths.split(",")]
     if args.dry_run:
         return _dry_run(cfg, args, {"depths": depths})
     mu, nu = sampled_measures(cfg.region_a(), cfg.region_b(), cfg.N, cfg.seed)
-    s = cfg.s_values[len(cfg.s_values) // 2]
+    s = cfg.s_values[len(cfg.s_values) // 2]  # a config's sweep: its middle value
+    print(f"step-limit at s={s!r}")
     rows = step_limit_experiment(mu, nu, depths, s)
     lines = ["depth,w2_error,f_value"]
     for row in rows:

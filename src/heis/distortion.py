@@ -9,6 +9,15 @@ For s in [0,1] and theta in [0, 2pi]:
                      * (F(theta s/2) / F(theta/2))^{1/(2n+1)}
       with F(x) = sin x - x cos x,   theta in (0, 2pi).
 
+With J(x) = (sin x / x)^{2n-1} * 3 F(x) / x^3, J(0) = 1 (the exponential
+map's Jacobian determinant is |chi|^2 J(theta/2) / 3, see `geodesy`;
+Balogh, Kristaly and Sipos 2018), for every theta in [0, 2pi)
+
+    tau^n_s(theta) = s^{(2n+3)/(2n+1)} * (J(theta s/2) / J(theta/2))^{1/(2n+1)},
+
+the form evaluated here: no power of theta s is left in sin or F to
+underflow.  `measures` integrates the same J for the volume of a CC ball.
+
 theta -> tau^n_s(theta) is increasing, diverges at 2pi, and is bounded
 below by the theta = 0 value.  tau~^n_s = tau^n_s / s is the normalized
 coefficient used by the Borell-Brascamp-Lieb inequality.
@@ -27,7 +36,6 @@ TWO_PI = 2.0 * np.pi
 # series x^3/3 (1 - x^2/10 + x^4/280 - x^6/15120 + x^8/1330560) below 0.25,
 # where both forms agree to ~1e-15 relative.
 _F_SERIES_CUT = 0.25
-_TINY_A = 1e-100
 
 
 def _f_series(x2):
@@ -35,22 +43,17 @@ def _f_series(x2):
     return 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 ** 3 / 15120.0 + x2 ** 4 / 1330560.0
 
 
-def _f_sin_minus_xcos(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _F_SERIES_CUT
-    xs = np.where(small, x, 0.0)
-    x2 = xs * xs
-    series = xs * x2 / 3.0 * _f_series(x2)
-    xb = np.where(small, 1.0, x)
-    direct = np.sin(xb) - xb * np.cos(xb)
-    return np.where(small, series, direct)
-
-
 def _f_over_cube(x):
     """3 F(x) / x^3 for x >= 0; 1 at x = 0, and no underflow near it."""
     small = x < _F_SERIES_CUT
     xb = np.where(small, 1.0, x)
-    return np.where(small, _f_series(x * x), 3.0 * _f_sin_minus_xcos(xb) / xb ** 3)
+    return np.where(small, _f_series(x * x), 3.0 * (np.sin(xb) - xb * np.cos(xb)) / xb ** 3)
+
+
+def _jacobian(n, x):
+    """J(x) = (sin x / x)^{2n-1} 3 F(x) / x^3 for x >= 0, with J(0) = 1 and
+    no power of x left to underflow."""
+    return np.sinc(x / np.pi) ** (2 * n - 1) * _f_over_cube(x)
 
 
 def _check_ranges(n, s, theta):
@@ -72,36 +75,13 @@ def tau(n: int, s, theta):
     """
     s, theta = _check_ranges(n, s, theta)
     scalar = s.ndim == 0 and theta.ndim == 0
+    # scalars as one-element arrays: numpy's 0-d ** can differ from its
+    # array ** in the last bit, and scalar callers compare with array ones
     s, theta = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(theta))
-
     e = 2 * n + 1
-    out = np.empty(s.shape, dtype=float)
-
-    a = theta * s / 2.0
-    at_top = theta >= TWO_PI
-    # below a = _TINY_A, theta = 0 included, tau takes its s -> 0 form
-    # s^{(2n+3)/(2n+1)} K(theta/2), exact to a relative O(a^2); the general
-    # form loses F(a) ~ a^3 / 3 to underflow there (0 or NaN for s or
-    # theta below about 1e-100)
-    tiny = (a < _TINY_A) & ~at_top
-    mid = ~(at_top | tiny)
-
-    out[at_top] = np.inf
-
-    if np.any(tiny):
-        b = theta[tiny] / 2.0
-        k = (np.sinc(b / np.pi) ** (-(2 * n - 1.0) / e)
-             * _f_over_cube(b) ** (-1.0 / e))
-        out[tiny] = s[tiny] ** ((2 * n + 3.0) / e) * k
-
-    if np.any(mid):
-        sm = s[mid]
-        a = a[mid]
-        b = theta[mid] / 2.0
-        r1 = np.sin(a) / np.sin(b)
-        r2 = _f_sin_minus_xcos(a) / _f_sin_minus_xcos(b)
-        out[mid] = sm ** (1.0 / e) * r1 ** ((2 * n - 1.0) / e) * r2 ** (1.0 / e)
-
+    half = theta / 2.0
+    ratio = _jacobian(n, half * s) / _jacobian(n, half)
+    out = np.where(theta >= TWO_PI, np.inf, s ** ((2 * n + 3.0) / e) * ratio ** (1.0 / e))
     return float(out[0]) if scalar else out
 
 

@@ -14,6 +14,14 @@ used in `core` (t' = 2 sum Im(zeta conj(zeta'))).  Useful identities:
     zeta(s) = s * sinc(theta*s / 2pi) * e^{-i theta s / 2} * chi
     |zeta(1)| = |chi| * sinc(theta / 2pi)
 
+The exponential map (chi, theta) -> Gamma_1(chi, theta), in the real
+coordinates of chi, has the Jacobian determinant |chi|^2 J(theta/2) / 3, with
+
+    J(x) = (sin x / x)^{2n-1} * 3 (sin x - x cos x) / x^3,   J(0) = 1
+
+(`distortion._jacobian`).  The distortion coefficients tau^n_s are ratios
+of J, and the volume of a CC ball is its integral (`measures`).
+
 Inversion at s=1 reduces, for zeta != 0, to the scalar monotone equation
 
     t / |zeta|^2 = m(theta) := (theta - sin theta) / (2 sin^2(theta/2))
@@ -276,14 +284,15 @@ def _solve_theta(u):
 # ---------------------------------------------------------------------------
 
 def _v_factor(alpha):
-    """V(a) = (a - sin a) / a^2, with series near 0."""
+    """V(a) = (a - sin a) / a^2, odd; below |a| = _SERIES_THETA it is
+    a * (a - sin a) / a^3 by the first column of _SERIES, which avoids the
+    cancellation in a - sin a."""
     alpha = np.asarray(alpha, dtype=float)
-    small = np.abs(alpha) < 1e-3
+    small = np.abs(alpha) < _SERIES_THETA
     a_s = np.where(small, alpha, 0.0)
-    series = a_s / 6.0 * (1.0 - a_s * a_s / 20.0 + a_s ** 4 / 840.0)
     a_b = np.where(small, 1.0, alpha)
-    direct = (a_b - np.sin(a_b)) / (a_b * a_b)
-    return np.where(small, series, direct)
+    return np.where(small, a_s * np.polyval(_SERIES[:, 0], a_s * a_s),
+                    (a_b - np.sin(a_b)) / (a_b * a_b))
 
 
 def _gamma_arrays(s, chi, theta):
@@ -529,13 +538,6 @@ class MidpointSet:
 
     points: np.ndarray
     skipped: int = 0
-
-
-def _merge_keys(points, tol):
-    """Rounded coordinates points / tol as float keys: equal keys mean equal
-    points within tol.  Float keys cannot overflow, and -0.0 is turned into
-    0.0 so that byte-wise comparisons agree with numeric ones."""
-    return np.round(points / tol) + 0.0
 
 
 def midpoint_set(s: float, A, B, table: PairTable | None = None) -> MidpointSet:

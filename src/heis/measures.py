@@ -111,10 +111,10 @@ class BoxRegion(Region):
         return cls(np.tile([0.0, 1.0], (2 * n + 1, 1)))
 
     @classmethod
-    def shifted(cls, offsets, n: int = 1) -> "BoxRegion":
-        """Unit box translated coordinatewise by `offsets`."""
-        iv = np.tile([0.0, 1.0], (2 * n + 1, 1)) + np.asarray(offsets, dtype=float)[:, None]
-        return cls(iv)
+    def shifted(cls, offsets) -> "BoxRegion":
+        """Unit box translated coordinatewise by `offsets`, 2n+1 of them."""
+        offsets = np.asarray(offsets, dtype=float)
+        return cls(np.tile([0.0, 1.0], (len(offsets), 1)) + offsets[:, None])
 
     @property
     def n(self) -> int:
@@ -278,17 +278,16 @@ _UNIT_BALL_VOLUMES: dict[int, float] = {}
 
 
 def _unit_ball_volume(n: int) -> float:
-    """Leb(B(0, 1)) in H^n, once per n: |S^{2n-1}| / (2n+2) times the
-    integral over theta in (-2pi, 2pi) of J(theta), the Jacobian of the
-    exponential map at a unit chi (its ratios give tau^n_s), where
-    J(2a) = (sin a / a)^{2n-1} F(a) / a^3 and F(a) = sin a - a cos a.  J is
-    entire, so a fixed Gauss-Legendre rule meets adaptive quadrature.
+    """Leb(B(0, 1)) in H^n, once per n.  The exponential map has the
+    Jacobian determinant |chi|^2 J(theta/2) / 3 (`geodesy`; the same J
+    whose ratios give tau^n_s), so the volume is |S^{2n-1}| / (2n+2) times
+    the integral of J(theta/2) / 3 over theta in (-2pi, 2pi).  J is entire,
+    so a fixed Gauss-Legendre rule meets adaptive quadrature.
     """
     if n not in _UNIT_BALL_VOLUMES:
         x, w = np.polynomial.legendre.leggauss(_BALL_GAUSS_NODES)
         a = np.pi / 2.0 * (x + 1.0)
-        jac = np.sinc(a / np.pi) ** (2 * n - 1) * distortion._f_over_cube(a) / 3.0
-        integral = np.pi / 2.0 * float(np.dot(w, jac))
+        integral = np.pi / 2.0 * float(np.dot(w, distortion._jacobian(n, a) / 3.0))
         sphere = 2.0 * np.pi ** n / np.prod(np.arange(1.0, n))  # |S^{2n-1}|
         _UNIT_BALL_VOLUMES[n] = float(sphere / (n + 1) * 2.0 * integral)
     return _UNIT_BALL_VOLUMES[n]
@@ -404,9 +403,10 @@ def _cell_index(points, h):
 
 
 def _row_labels(idx):
-    """np.unique(idx, axis=0, return_inverse=True) of a 2-D int array by one
-    lexsort: the distinct rows in lexicographic order, and the index of each
-    row among them."""
+    """np.unique(idx, axis=0, return_index=True, return_inverse=True)[1:] of
+    a 2-D array by one stable lexsort: the index of each distinct row's
+    first occurrence, the distinct rows in lexicographic order, and the
+    index of each row among them."""
     order = np.lexsort(idx.T[::-1])
     rows = idx[order]
     new = np.ones(len(rows), dtype=bool)
@@ -415,7 +415,7 @@ def _row_labels(idx):
         new[1:] |= rows[1:, j] != rows[:-1, j]
     labels = np.empty(len(rows), dtype=np.intp)
     labels[order] = np.cumsum(new) - 1
-    return rows[new], labels
+    return order[new], labels
 
 
 def _cell_labels(points, h):
@@ -541,7 +541,8 @@ def step_approximate(m: DiscreteMeasure, K: Region, depth: int) -> StepMeasure:
 
     rel = (m.points - box[:, 0]) / widths
     idx = np.clip(np.floor(rel).astype(np.int64), 0, counts - 1)
-    cells, inv = _row_labels(idx)
+    first, inv = _row_labels(idx)
+    cells = idx[first]
     masses = np.bincount(inv, weights=m.weights, minlength=len(cells))
 
     keep = masses > 0

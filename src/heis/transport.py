@@ -37,7 +37,7 @@ from scipy.special import logsumexp
 
 from . import geodesy
 from .geodesy import NonUniqueGeodesic, PairTable
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _row_labels
 
 __all__ = [
     "CostMatrix",
@@ -59,6 +59,13 @@ _SHORTLIST_K = 16  # first-LP candidate arcs per row and per column
 _COLD_ROWS = 64  # exact solves up to this many atoms (LP: on the shorter side) start cold
 # the tightest HiGHS accepts; at its default 1e-7 plans can miss _MARGINAL_TOL
 _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _merge_keys(points):
+    """Rounded coordinates points / _MERGE_TOL as float keys: equal keys mean
+    equal points within the tolerance.  Float keys cannot overflow, and -0.0
+    is turned into 0.0 so that byte-wise comparisons agree with numeric ones."""
+    return np.round(points / _MERGE_TOL) + 0.0
 
 
 class SinkhornError(RuntimeError):
@@ -474,7 +481,6 @@ def interpolate(gp: GeodesicPlan, s: float) -> DiscreteMeasure:
                                gp.plan.col_sums(len(gp.target)))
     ii, jj = gp.plan.i, gp.plan.j
     pts = geodesy._along(s, gp.source.points[ii], gp.table.chi[ii, jj], gp.table.theta[ii, jj])
-    keys = geodesy._merge_keys(pts, _MERGE_TOL)
-    _, uniq_idx, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first, inv = _row_labels(_merge_keys(pts))
     mass = np.bincount(inv, weights=gp.plan.mass)
-    return DiscreteMeasure(pts[uniq_idx], mass / mass.sum())
+    return DiscreteMeasure(pts[first], mass / mass.sum())

@@ -207,6 +207,17 @@ class TestVerifyCommands:
         assert lines[0] == "depth,w2_error,f_value"
         assert lines[-1].startswith("exact,")
 
+    @pytest.mark.parametrize("s_values, flags, s", [
+        ([0.1, 0.2, 0.3, 0.4], [], "0.3"),  # a config's sweep: its middle entry
+        ([0.1, 0.2, 0.3, 0.4], ["--s", "0.25"], "0.25"),
+    ])
+    def test_step_limit_prints_the_s_it_runs_at(self, s_values, flags, s, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(ExperimentConfig(s_values=s_values).to_json()))
+        assert run_cli("step-limit", "--config", str(cfg), "--N", "20", "--depths", "0",
+                       *flags) == 0
+        assert f"step-limit at s={s}\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv, message", [
         (["transport", "--N", "0"], "N must be at least 1, got 0"),
         (["step-limit", "--N", "0", "--depths", "0"], "N must be at least 1, got 0"),
@@ -221,6 +232,8 @@ class TestVerifyCommands:
         (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "nan"], "got r=0.05, h=nan"),
         (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "inf"], "got r=0.05, h=inf"),
         (["verify-sbmi", "--N", "20", "--s", "0.5", "--r", "nan"], "got r=nan, h=0.1"),
+        (["step-limit", "--s", "0.25,0.75", "--depths", "0"], "step-limit runs at one s"),
+        (["step-limit", "--s", "0:1:0.5", "--dry-run"], "--s 0:1:0.5 gives 3"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):

@@ -119,6 +119,57 @@ class TestTauProperties:
                 assert got == pytest.approx(k, rel=1e-12)
 
 
+def two_branch_tau(n, s, theta):
+    """tau^n_s(theta) by a second route, kept as a reference: the sin and
+    F = sin x - x cos x ratios of the module docstring, and the s -> 0 form
+    s^{(2n+3)/(2n+1)} K(theta) where a = theta s / 2 is below 1e-100."""
+    def f_over_cube(x):  # 3 F(x) / x^3, by its series below 0.25
+        if x < 0.25:
+            x2 = x * x
+            return 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 ** 3 / 15120.0 + x2 ** 4 / 1330560.0
+        return 3.0 * (np.sin(x) - x * np.cos(x)) / x ** 3
+
+    def f(x):
+        return x ** 3 / 3.0 * f_over_cube(x) if x < 0.25 else np.sin(x) - x * np.cos(x)
+
+    e = 2 * n + 1
+    if theta >= TWO_PI:
+        return np.inf
+    a, b = theta * s / 2.0, theta / 2.0
+    if a < 1e-100:
+        k = np.sinc(b / np.pi) ** (-(2 * n - 1.0) / e) * f_over_cube(b) ** (-1.0 / e)
+        return s ** ((2 * n + 3.0) / e) * k
+    return (s ** (1.0 / e) * (np.sin(a) / np.sin(b)) ** ((2 * n - 1.0) / e)
+            * (f(a) / f(b)) ** (1.0 / e))
+
+
+@st.composite
+def n_s_theta(draw):
+    """(n, s, theta) with s uniform on [0, 1], log-uniform down to 1e-300, or
+    putting a = theta s / 2 within a factor 100 of the old 1e-100 seam."""
+    n, theta = draw(st.integers(1, 3)), draw(st.floats(0.0, TWO_PI))
+    kind = draw(st.sampled_from(["uniform", "log", "seam"]))
+    if kind == "uniform":
+        return n, draw(st.floats(0.0, 1.0)), theta
+    if kind == "log":
+        return n, 10.0 ** draw(st.floats(-300.0, 0.0)), theta
+    theta = draw(st.floats(0.1, TWO_PI))
+    return n, 2e-100 * 10.0 ** draw(st.floats(-2.0, 2.0)) / theta, theta
+
+
+class TestJacobianForm:
+    @settings(deadline=None, max_examples=500)
+    @given(n_s_theta())
+    def test_matches_the_two_branch_formula(self, args):
+        n, s, theta = args
+        got, want = tau(n, s, theta), two_branch_tau(n, s, theta)
+        if np.isinf(want):
+            assert got == want
+        else:
+            # a subnormal result is rounded to a fixed grid
+            assert abs(got - want) <= rounding_tol(s) * want + 2 * 5e-324, (got, want)
+
+
 class TestTauTilde:
     def test_normalization_identity(self):
         assert tau_tilde(1, 0.125, 0.0) == pytest.approx(0.25, abs=1e-15)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ class TestGamma:
         a = gamma(1.0, GeodesicParam(chi, 1e-9))
         b = gamma(1.0, GeodesicParam(chi, 0.0))
         assert np.allclose(a, b, atol=1e-8)
+
+    @pytest.mark.parametrize("chi", [[0.8 - 0.3j], [0.8 - 0.3j, -0.2 + 1.1j]])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_t_against_exact_taylor_sum(self, chi, sign):
+        # t = 2 |chi|^2 s^2 V(theta s), V(a) = (a - sin a) / a^2
+        #   = sum_k (-1)^k a^(2k+1) / (2k+3)!, summed in exact rationals at
+        # the float inputs until a term drops below 2^-80 of the sum
+        s = 0.6
+        nchi2 = sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in chi)
+        for a in np.logspace(-6.0, np.log10(3.0), 150):
+            theta = sign * a / s
+            x = Fraction(theta) * Fraction(s)
+            v, term, k = Fraction(0), x / 6, 0
+            while abs(term) > abs(v) * Fraction(1, 2 ** 80):
+                v += term
+                k += 1
+                term *= -x * x / ((2 * k + 2) * (2 * k + 3))
+            want = 2 * nchi2 * Fraction(s) ** 2 * v
+            got = gamma(s, GeodesicParam(np.array(chi), theta))[-1]
+            assert abs(Fraction(got) - want) <= Fraction(4e-15) * abs(want), (a, got)
 
     def test_range_errors(self):
         p = GeodesicParam(np.array([1.0 + 0j]), 0.0)
@@ -418,27 +439,6 @@ class TestPairTable:
             else:
                 assert tab.chi is None
         assert midpoint_set(0.5, empty, pts).points.shape == (0, 5)
-
-
-class TestDedup:
-    """The merge keys of `transport.interpolate`: equal keys, byte for byte,
-    exactly for points within the tolerance."""
-
-    @staticmethod
-    def merged(pts):
-        keys = geodesy._merge_keys(pts, 1e-12)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        return pts[np.sort(first)]
-
-    def test_large_coordinates_stay_distinct(self):
-        pts = pt(1e7, 0.0, 0.0, 2e7, 0.0, 0.0, 3e7, 1.0, 0.0).reshape(3, 3)
-        assert np.array_equal(self.merged(pts), pts)
-
-    def test_merges_within_tol_and_signed_zero(self):
-        pts = pt(1.0, -0.0, 0.0, 1.0 + 1e-14, 0.0, -1e-14).reshape(2, 3)
-        assert np.array_equal(self.merged(pts), pts[:1])
-        keys = geodesy._merge_keys(pts, 1e-12)
-        assert keys[0].tobytes() == keys[1].tobytes()
 
 
 # queries from the origin to (u^{-1/2}, 0, 1): u = t / |zeta|^2 sweeps the

@@ -52,13 +52,13 @@ def test_volume_and_theta_n2():
 
 def test_transport_and_cd_n2():
     mu = normalized_measure(UNIT5, 40, seed=3)
-    nu = normalized_measure(BoxRegion.shifted([1.5, 0, 0, 0, 0], n=2), 40, seed=4)
+    nu = normalized_measure(BoxRegion.shifted([1.5, 0, 0, 0, 0]), 40, seed=4)
     plan = solve_exact(cost_matrix(mu, nu), mu.weights, nu.weights)
     assert plan.cost > 0
     gp = geodesic_plan(mu, nu)
     mid = interpolate(gp, 0.5)
     assert len(mid) == 40
-    rep = verify_cd_sweep(UNIT5, BoxRegion.shifted([1.5, 0, 0, 0, 0], n=2),
+    rep = verify_cd_sweep(UNIT5, BoxRegion.shifted([1.5, 0, 0, 0, 0]),
                           [0.5], N=64, seed=5, h=0.25)[0]
     assert rep.holds in ("holds", "inconclusive")
     assert np.isfinite(rep.margin)

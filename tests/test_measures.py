@@ -37,6 +37,13 @@ class TestRegions:
         assert b.volume() == 1.0
         assert b.contains(np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])).tolist() == [True, False]
 
+    def test_shifted_reads_n_from_the_offsets(self):
+        box = BoxRegion.shifted([2.0, 0.0, 0.0, 0.0, 0.0])
+        assert box.n == 2
+        assert np.array_equal(box.intervals, BoxRegion.unit(2).intervals + [[2.0], [0], [0], [0], [0]])
+        with pytest.raises(ValueError, match="odd"):
+            BoxRegion.shifted([1.0, 0.0])
+
     def test_box_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             BoxRegion(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
@@ -68,6 +75,12 @@ class TestRegions:
         assert sphere / (n + 1) * 2.0 * integral == pytest.approx(want, rel=1e-13)
         got = CCBallRegion(core.origin(n), 1.0).volume()
         assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n, want", [
+        (1, 3.3035030488367014), (2, 4.823649863843581), (3, 4.619214423014484)])
+    def test_unit_ball_volume_bits(self, n, want):
+        # the Gauss-Legendre sum of the Jacobian that tau shares, to the bit
+        assert measures._unit_ball_volume(n) == want
 
     @pytest.mark.parametrize("center", [[0.0, 0.0, 0.0], [1.0, -2.0, 0.5],
                                         [0.3, 0.0, -0.2, 0.4, 1.0]])
@@ -640,9 +653,11 @@ class TestBitEqualHelpers:
     @settings(deadline=None, max_examples=100)
     @given(int_rows())
     def test_row_labels_are_unique_rows(self, idx):
-        cells, labels = measures._row_labels(idx)
-        want_cells, want_labels = np.unique(idx, axis=0, return_inverse=True)
-        assert np.array_equal(cells, want_cells)
+        first, labels = measures._row_labels(idx)
+        want_cells, want_first, want_labels = np.unique(idx, axis=0, return_index=True,
+                                                        return_inverse=True)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(idx[first], want_cells)
         assert np.array_equal(labels, want_labels.ravel())
 
     @settings(deadline=None, max_examples=100)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from heis import core, geodesy, transport
+from heis import core, geodesy, measures, transport
 from heis.measures import BoxRegion, DiscreteMeasure, estimate_volume, normalized_measure
 from heis.transport import (
     CostMatrix,
@@ -356,7 +356,7 @@ class TestWarmAssignment:
     def test_cd_sweep_in_h2_matches_cold_solve(self, monkeypatch, lsa_sizes):
         from heis.verify import verify_cd_sweep
 
-        A, B = BoxRegion.unit(2), BoxRegion.shifted([2.0, 0, 0, 0, 0], n=2)
+        A, B = BoxRegion.unit(2), BoxRegion.shifted([2.0, 0, 0, 0, 0])
 
         def sweep():
             reps = verify_cd_sweep(A, B, [0.0, 0.5, 1.0], N=140, seed=5, h=0.25)
@@ -640,6 +640,62 @@ class TestW2:
             mb = measure(cloud(rng, 10, shift=0.7))
             mc = measure(cloud(rng, 10, shift=1.4))
             assert w2(ma, mc) <= w2(ma, mb) + w2(mb, mc) + 1e-9
+
+
+class TestDedup:
+    """The merge keys of `interpolate`: equal keys, byte for byte, exactly
+    for points within the tolerance; atoms with equal keys merge."""
+
+    @staticmethod
+    def merged(pts):
+        keys = transport._merge_keys(pts)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        return pts[np.sort(first)]
+
+    def test_large_coordinates_stay_distinct(self):
+        pts = np.array([1e7, 0.0, 0.0, 2e7, 0.0, 0.0, 3e7, 1.0, 0.0]).reshape(3, 3)
+        assert np.array_equal(self.merged(pts), pts)
+
+    def test_merges_within_tol_and_signed_zero(self):
+        pts = np.array([1.0, -0.0, 0.0, 1.0 + 1e-14, 0.0, -1e-14]).reshape(2, 3)
+        assert np.array_equal(self.merged(pts), pts[:1])
+        keys = transport._merge_keys(pts)
+        assert keys[0].tobytes() == keys[1].tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.sampled_from([1, 3, 5]))
+    def test_row_labels_merge_as_numpy_unique(self, seed, rows, d):
+        # the grouping interpolate uses gives np.unique's first indices and
+        # labels on merge keys: negative and signed-zero coordinates,
+        # repeats, near-repeats within the tolerance, far coordinates
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 1e-14, -1e-14, 0.5, -0.5, 0.5 + 3e-13, 1e7, -2e7])
+        pts = rng.choice(values, (rows, d)) + rng.choice([0.0, 1.0], (rows, d)) * rng.normal(size=(rows, d))
+        pts = pts[rng.integers(0, rows, rows)]
+        keys = transport._merge_keys(pts)
+        first, labels = measures._row_labels(keys)
+        _, want_first, want_labels = np.unique(keys, axis=0, return_index=True,
+                                               return_inverse=True)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(labels, want_labels.ravel())
+
+    def test_interpolant_matches_numpy_unique_merge(self):
+        # interpolants of a plan with coincident midpoints (repeated atoms)
+        # keep the bits of the np.unique merge
+        rng = np.random.default_rng(23)
+        A = cloud(rng, 10)[rng.integers(0, 10, 30)]
+        B = cloud(rng, 10, shift=1.0)[rng.integers(0, 10, 30)]
+        gp = geodesic_plan(measure(A), measure(B))
+        for s in (0.25, 0.5, 0.75):
+            got = interpolate(gp, s)
+            ii, jj = gp.plan.i, gp.plan.j
+            pts = geodesy._along(s, A[ii], gp.table.chi[ii, jj], gp.table.theta[ii, jj])
+            _, first, inv = np.unique(transport._merge_keys(pts), axis=0,
+                                      return_index=True, return_inverse=True)
+            mass = np.bincount(inv.ravel(), weights=gp.plan.mass)
+            assert len(first) < len(pts)
+            assert got.points.tobytes() == pts[first].tobytes()
+            assert got.weights.tobytes() == (mass / mass.sum()).tobytes()
 
 
 class TestInterpolation:

@@ -269,7 +269,7 @@ class TestChainLastLink:
     @pytest.mark.parametrize("A, B, N", [
         (UNIT, OFFSET, 200),
         (CCBallRegion(np.zeros(3), 1.0), CCBallRegion(np.array([2.5, 0.0, 0.0]), 1.0), 200),
-        (BoxRegion.unit(2), BoxRegion.shifted([2.0, 0.0, 0.0, 0.0, 0.0], n=2), 100),
+        (BoxRegion.unit(2), BoxRegion.shifted([2.0, 0.0, 0.0, 0.0, 0.0]), 100),
     ], ids=["boxes-n1", "balls-n1", "boxes-n2"])
     def test_minus_f_bounds_the_tau_rhs(self, A, B, N):
         mu0, mu1 = verify.sampled_measures(A, B, N, seed=5)
