@@ -68,12 +68,25 @@ def from_complex(zeta, t) -> np.ndarray:
     return out
 
 
+def _row_sum(term, width):
+    """sum_j term(j) over j < width, bit for bit np.sum(term(slice(None)), axis=-1).
+    numpy adds up to 7 terms left to right from 0.0, as this column loop does
+    without numpy's slow reduction along a short axis; from 8 terms on it
+    groups them, and the sum is numpy's own."""
+    if width >= 8:
+        return np.sum(term(slice(None)), axis=-1)
+    out = term(0) + 0.0
+    for j in range(1, width):
+        out += term(j)
+    return out
+
+
 def _twist(zx, zy):
     """2 sum_j Im(zeta_j conj(zeta'_j)) = 2 sum_j (eta_j xi'_j - xi_j eta'_j)
     for zeta parts given as interleaved reals (..., 2n)."""
-    xi, eta = zx[..., 0::2], zx[..., 1::2]
-    xip, etap = zy[..., 0::2], zy[..., 1::2]
-    return 2.0 * np.sum(eta * xip - xi * etap, axis=-1)
+    xi, eta, xip, etap = zx[..., 0::2], zx[..., 1::2], zy[..., 0::2], zy[..., 1::2]
+    return 2.0 * _row_sum(lambda j: eta[..., j] * xip[..., j] - xi[..., j] * etap[..., j],
+                          xi.shape[-1])
 
 
 def group_mul(x, y) -> np.ndarray:

@@ -16,7 +16,8 @@ Balogh, Kristaly and Sipos 2018), for every theta in [0, 2pi)
     tau^n_s(theta) = s^{(2n+3)/(2n+1)} * (J(theta s/2) / J(theta/2))^{1/(2n+1)},
 
 the form evaluated here: no power of theta s is left in sin or F to
-underflow.  `measures` integrates the same J for the volume of a CC ball.
+underflow, and 3 F(x) / x^3 is summed from `geodesy._SERIES` below 0.5.
+`measures` integrates the same J for the volume of a CC ball.
 
 theta -> tau^n_s(theta) is increasing, diverges at 2pi, and is bounded
 below by the theta = 0 value.  tau~^n_s = tau^n_s / s is the normalized
@@ -27,27 +28,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import geodesy
+
 __all__ = ["tau", "tau_tilde", "p_mean"]
 
 TWO_PI = 2.0 * np.pi
 
-# F(x) = sin x - x cos x loses ~all precision to cancellation for small x;
-# relative error of direct evaluation is ~3 eps / x^2, so switch to the
-# series x^3/3 (1 - x^2/10 + x^4/280 - x^6/15120 + x^8/1330560) below 0.25,
-# where both forms agree to ~1e-15 relative.
-_F_SERIES_CUT = 0.25
-
-
-def _f_series(x2):
-    """3 F(x) / x^3 as a polynomial in x2 = x^2, for |x| < _F_SERIES_CUT."""
-    return 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 ** 3 / 15120.0 + x2 ** 4 / 1330560.0
-
 
 def _f_over_cube(x):
-    """3 F(x) / x^3 for x >= 0; 1 at x = 0, and no underflow near it."""
-    small = x < _F_SERIES_CUT
-    xb = np.where(small, 1.0, x)
-    return np.where(small, _f_series(x * x), 3.0 * (np.sin(xb) - xb * np.cos(xb)) / xb ** 3)
+    """3 F(x) / x^3 for x >= 0: the third column of `geodesy._SERIES` below
+    its cut, the closed form above."""
+    return geodesy._series_or_closed(x, lambda x: np.polyval(geodesy._SERIES[:, 2], x * x),
+                                     lambda x: 3.0 * (np.sin(x) - x * np.cos(x)) / x ** 3)
 
 
 def _jacobian(n, x):
@@ -61,9 +53,9 @@ def _check_ranges(n, s, theta):
         raise ValueError(f"n must be a positive integer, got {n}")
     s = np.asarray(s, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(s < 0) or np.any(s > 1):
+    if not np.all((s >= 0) & (s <= 1)):  # NaN fails both tests
         raise ValueError("s must lie in [0, 1]")
-    if np.any(theta < 0) or np.any(theta > TWO_PI):
+    if not np.all((theta >= 0) & (theta <= TWO_PI)):
         raise ValueError("theta must lie in [0, 2*pi]")
     return s, theta
 
@@ -103,7 +95,7 @@ def p_mean(p: float, s: float, a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
+    if not (np.all(a >= 0) and np.all(b >= 0)):  # NaN fails it
         raise ValueError("p_mean arguments must be nonnegative")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")

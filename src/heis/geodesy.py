@@ -124,15 +124,22 @@ class InversionResult:
 # scalar auxiliary map m and the vectorized root solve
 # ---------------------------------------------------------------------------
 
-# Taylor coefficients, highest power first, of
-#   (theta - sin theta) / theta^3 = sum_k (-1)^k w^k / (2k+3)!   and
-#   (1 - cos theta) / theta^2     = sum_k (-1)^k w^k / (2k+2)!,   w = theta^2;
-# seven terms leave a relative truncation error below 1e-17 for theta <= 0.5.
-# Row k holds the w^(6-k) coefficients of both series.
-_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + 3),
-                     (-1) ** k / math.factorial(2 * k + 2)] for k in range(7)][::-1])
+# Taylor coefficients in w = x^2, highest power first, with the numerators
+# 1, 2k+3 and 3 (2k+2) over (2k+3)!, of (x - sin x) / x^3, (1 - cos x) / x^2
+# and 3 (sin x - x cos x) / x^3 = 3 (second - first): the exponential map's
+# functions that cancel near 0 (`distortion` reads the third).  Seven terms
+# leave a relative truncation error below 1e-17 for x <= 0.5.
+_SERIES = np.array([[(-1) ** k * c / math.factorial(2 * k + 3) for c in (1, 2 * k + 3, 6 * k + 6)]
+                    for k in range(7)][::-1])
 _SERIES_THETA = 0.5
 _NEWTON_STEPS = 3
+
+
+def _series_or_closed(x, series, closed):
+    """series(x) where |x| < _SERIES_THETA and closed(x) elsewhere,
+    elementwise; each form sees 0, resp. 1, where the other is taken."""
+    small = np.abs(x) < _SERIES_THETA
+    return np.where(small, series(np.where(small, x, 0.0)), closed(np.where(small, 1.0, x)))
 
 
 def _m_series(theta):
@@ -143,7 +150,7 @@ def _m_series(theta):
     feel most."""
     w = np.asarray(theta * theta)
     y = np.zeros((2,) + w.shape)
-    for coef in _SERIES.reshape(_SERIES.shape + (1,) * w.ndim):
+    for coef in _SERIES[:, :2].reshape((len(_SERIES), 2) + (1,) * w.ndim):
         y *= w
         y += coef
     sn, cs = y
@@ -164,10 +171,7 @@ def _m(theta):
     on (-2pi, 2pi); a Taylor series below |theta| = 0.5 avoids the
     cancellation in theta - sin theta."""
     theta = np.asarray(theta, dtype=float)
-    a = np.abs(theta)
-    small = a < _SERIES_THETA
-    m = np.where(small, _m_series(np.where(small, a, 0.0))[0],
-                 _m_direct(np.where(small, 1.0, a))[0])
+    m = _series_or_closed(np.abs(theta), lambda a: _m_series(a)[0], lambda a: _m_direct(a)[0])
     return np.copysign(m, theta)
 
 
@@ -287,12 +291,9 @@ def _v_factor(alpha):
     """V(a) = (a - sin a) / a^2, odd; below |a| = _SERIES_THETA it is
     a * (a - sin a) / a^3 by the first column of _SERIES, which avoids the
     cancellation in a - sin a."""
-    alpha = np.asarray(alpha, dtype=float)
-    small = np.abs(alpha) < _SERIES_THETA
-    a_s = np.where(small, alpha, 0.0)
-    a_b = np.where(small, 1.0, alpha)
-    return np.where(small, a_s * np.polyval(_SERIES[:, 0], a_s * a_s),
-                    (a_b - np.sin(a_b)) / (a_b * a_b))
+    return _series_or_closed(np.asarray(alpha, dtype=float),
+                             lambda a: a * np.polyval(_SERIES[:, 0], a * a),
+                             lambda a: (a - np.sin(a)) / (a * a))
 
 
 def _gamma_arrays(s, chi, theta):
@@ -302,7 +303,7 @@ def _gamma_arrays(s, chi, theta):
     a = theta * s
     zfac = s * np.sinc(a / TWO_PI) * np.exp(-0.5j * a)
     zeta = chi * zfac[..., None]
-    nchi2 = np.sum(chi.real ** 2 + chi.imag ** 2, axis=-1)
+    nchi2 = core._row_sum(lambda j: chi.real[..., j] ** 2 + chi.imag[..., j] ** 2, chi.shape[-1])
     t = 2.0 * nchi2 * (s * s) * _v_factor(a)
     return zeta, t
 
@@ -328,7 +329,8 @@ def _invert_arrays(zeta, t, want_chi=False):
     """
     zeta = np.asarray(zeta, dtype=complex)
     t = np.asarray(t, dtype=float)
-    az = np.sqrt(np.sum(zeta.real ** 2 + zeta.imag ** 2, axis=-1))
+    az = np.sqrt(core._row_sum(lambda j: zeta.real[..., j] ** 2 + zeta.imag[..., j] ** 2,
+                               zeta.shape[-1]))
     at = np.abs(t)
     on_center = az < CENTER_TOL * np.sqrt(at)
     generic = ~(on_center | ((az == 0.0) & (t == 0.0)))

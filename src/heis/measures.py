@@ -45,6 +45,8 @@ _BALL_GAUSS_NODES = 32  # Gauss-Legendre nodes of the unit CC-ball volume integr
 _DISJOINT_PROBES = 512  # sample points per member in a union's overlap check
 _MC_PER_CELL = 6  # stderr probes of the occupancy volume per boundary cell ...
 _MAX_MC_CELLS = 1024  # ... and on at most this many boundary cells
+_N_BOOT = 24  # bootstrap replicates of the entropy estimate ...
+_BOOT_SEED = 0  # ... and the seed of their draws
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -454,8 +456,7 @@ def renyi_entropy(m: DiscreteMeasure) -> float:
     return _entropy(m.weights, m.density, 2 * m.n + 1)
 
 
-def renyi_entropy_estimate(m: DiscreteMeasure, h: float,
-                           n_boot: int = 24, seed: int = 0) -> tuple[float, float]:
+def renyi_entropy_estimate(m: DiscreteMeasure, h: float) -> tuple[float, float]:
     """Entropy of the underlying measure estimated from the sample.
 
     The plain histogram plug-in at cell count lambda = N h^{2n+1} rho has a
@@ -470,8 +471,6 @@ def renyi_entropy_estimate(m: DiscreteMeasure, h: float,
     """
     if not h > 0:
         raise ValueError("grid cell size h must be positive")
-    if n_boot < 2:
-        raise ValueError("the bootstrap needs at least 2 replicates")
     d = m.points.shape[1]
     k = 2.0 ** d
     # A replicate holds copies of sample points, and a copy lies in the cell
@@ -486,11 +485,11 @@ def renyi_entropy_estimate(m: DiscreteMeasure, h: float,
 
     value, e1, e2 = corrected(slice(None), m.weights)
 
-    rng = _rng(seed ^ 0xB007)
+    rng = _rng(_BOOT_SEED ^ 0xB007)
     N = len(m.points)
     w = np.full(N, 1.0 / N)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         pick = rng.choice(N, size=N, replace=True, p=m.weights)
         boots[b], _, _ = corrected(pick, w)
     guard = abs(e2 - e1) / (k - 1.0)
@@ -588,16 +587,8 @@ def _sorted_unique(keys):
 
 
 def _sq_norm(z):
-    """np.sum(z * z, axis=1), bit for bit.  numpy adds the terms of a row of
-    up to 7 columns left to right, which a sum one column at a time repeats
-    without numpy's slow reduction along a short axis; from 8 columns on it
-    groups the terms, and the sum is numpy's own."""
-    if z.shape[1] >= 8:
-        return np.sum(z * z, axis=1)
-    out = z[:, 0] * z[:, 0]
-    for j in range(1, z.shape[1]):
-        out += z[:, j] * z[:, j]
-    return out
+    """np.sum(z * z, axis=1), bit for bit, by `core._row_sum`."""
+    return core._row_sum(lambda j: z[:, j] * z[:, j], z.shape[1])
 
 
 def _in_box(idx, lo, hi):

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _MARGINAL_TOL = 1e-9
+_SINKHORN_TOL = 1e-8  # L1 marginal violation at which solve_sinkhorn stops
+_SINKHORN_MAX_ITER = 200_000  # ... or raises SinkhornError after this many iterations
 _PRUNE = 1e-15
 _MERGE_TOL = 1e-12  # interpolant atoms this close merge
 _SHORTLIST_K = 16  # first-LP candidate arcs per row and per column
@@ -352,15 +354,14 @@ def _record_marginals(plan: TransportPlan, a, b):
 # Sinkhorn
 # ---------------------------------------------------------------------------
 
-def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
-                   max_iter: int = 200_000, tol: float = 1e-8) -> TransportPlan:
+def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float) -> TransportPlan:
     """Entropic-regularized plan by log-domain scaling with eps-halving.
 
-    Stops when the L1 marginal violation is <= tol; raises SinkhornError
-    (carrying the last violation) if max_iter total iterations do not get
-    there.  Entries below 1e-15 are pruned after convergence; `cost` is
-    the unregularized transport cost of the returned plan,
-    `cost_regularized` adds the epsilon * KL penalty, and
+    Stops when the L1 marginal violation is <= _SINKHORN_TOL; raises
+    SinkhornError (carrying the last violation) if _SINKHORN_MAX_ITER total
+    iterations do not get there.  Entries below 1e-15 are pruned after
+    convergence; `cost` is the unregularized transport cost of the returned
+    plan, `cost_regularized` adds the epsilon * KL penalty, and
     `marginal_violation` is the pruned plan's largest error at one atom.
     """
     if not epsilon > 0:
@@ -388,7 +389,7 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
     p = None
     for lvl, eps in enumerate(eps_levels):
         final = lvl == len(eps_levels) - 1
-        inner = max_iter - iters if final else min(200, max_iter - iters)
+        inner = _SINKHORN_MAX_ITER - iters if final else min(200, _SINKHORN_MAX_ITER - iters)
         for k in range(inner):
             # pi_ij = exp((f_i + g_j - c_ij)/eps + log a_i + log b_j)
             f = -eps * logsumexp((g[None, :] - cost) / eps + lb[None, :], axis=1)
@@ -396,15 +397,15 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float,
             iters += 1
             if k % 10 == 9 or k == inner - 1:
                 viol, p = violation(eps)
-                if viol <= tol:
+                if viol <= _SINKHORN_TOL:
                     break
-        if iters >= max_iter:
+        if iters >= _SINKHORN_MAX_ITER:
             break
 
     viol, p = violation(epsilon)
-    if viol > tol:
+    if viol > _SINKHORN_TOL:
         raise SinkhornError(
-            f"sinkhorn did not reach tol={tol:g} in {max_iter} iterations "
+            f"sinkhorn did not reach tol={_SINKHORN_TOL:g} in {_SINKHORN_MAX_ITER} iterations "
             f"(violation {viol:.3e})", viol)
 
     with np.errstate(divide="ignore", invalid="ignore"):

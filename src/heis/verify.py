@@ -432,7 +432,7 @@ def verify_bbl(f: GridFunction, g: GridFunction, h_fn: GridFunction,
     d = 2 * n + 1
     if not 0.0 < s < 1.0:
         raise ValueError("verify_bbl needs s strictly inside (0, 1)")
-    if p < -1.0 / d:
+    if not p >= -1.0 / d:  # NaN fails it
         raise ValueError(f"p must be >= -1/(2n+1) = {-1.0 / d:g}")
     if pairing not in ("independent", "diagonal"):
         raise ValueError(f"unknown pairing {pairing!r}")

@@ -86,6 +86,11 @@ class TestSimpleCommands:
             run_cli("tau", "one", "0.5", "0")
         assert ei.value.code == 1
 
+    @pytest.mark.parametrize("args", [("1", "nan", "0"), ("1", "0.5", "nan")])
+    def test_tau_nan_is_usage_error(self, args, capsys):
+        assert run_cli("tau", *args) == 1
+        assert "must lie in" in capsys.readouterr().err
+
     def test_bad_json_point_is_usage_error(self):
         assert run_cli("distance", "[0,0", "[0,0,0]") == 1
 
@@ -234,6 +239,7 @@ class TestVerifyCommands:
         (["verify-sbmi", "--N", "20", "--s", "0.5", "--r", "nan"], "got r=nan, h=0.1"),
         (["step-limit", "--s", "0.25,0.75", "--depths", "0"], "step-limit runs at one s"),
         (["step-limit", "--s", "0:1:0.5", "--dry-run"], "--s 0:1:0.5 gives 3"),
+        (["verify-bbl", "--p", "nan", "--cells", "4"], "p must be >= -1/(2n+1)"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):

@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heis import distortion
 from heis.distortion import TWO_PI, p_mean, tau, tau_tilde
 
 EPS = np.finfo(float).eps
@@ -45,7 +49,7 @@ class TestTau:
     def test_series_direct_seam(self):
         # evaluation is smooth across the series cutoff for the inner factor
         s = 0.37
-        thetas = np.linspace(0.4, 0.8, 1000)  # a = theta*s/2 crosses 0.25 here
+        thetas = np.linspace(0.4, 1.2, 2000)  # theta/2 crosses 0.25 and 0.5 here
         vals = tau(1, s, thetas)
         assert np.all(np.diff(vals) > 0)
 
@@ -78,6 +82,14 @@ class TestTau:
             tau(1, 0.5, TWO_PI + 0.1)
         with pytest.raises(ValueError):
             tau(0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tau(1, np.nan, 1.0), lambda: tau(1, 0.5, np.nan),
+        lambda: tau(2, np.array([0.5, np.nan]), 1.0), lambda: tau_tilde(1, np.nan, 1.0),
+        lambda: p_mean(1.0, 0.5, np.nan, 1.0), lambda: p_mean(0.0, 0.5, 1.0, np.nan)])
+    def test_nan_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_array_broadcast(self):
         grid = np.array([0.0, 1.0, TWO_PI])
@@ -157,7 +169,28 @@ def n_s_theta(draw):
     return n, 2e-100 * 10.0 ** draw(st.floats(-2.0, 2.0)) / theta, theta
 
 
+def f_over_cube_exact(x):
+    """3 F(x) / x^3 at the float x, summed exactly in rationals and rounded
+    once; 15 terms leave a truncation below 1e-39 for x <= 0.7."""
+    w = Fraction(x) ** 2
+    return float(sum(Fraction((-1) ** k * 3 * (2 * k + 2), math.factorial(2 * k + 3)) * w ** k
+                     for k in range(15)))
+
+
 class TestJacobianForm:
+    def test_f_over_cube_against_exact_taylor_sum(self):
+        x = np.concatenate([np.geomspace(1e-8, 0.7, 600), np.linspace(0.2, 0.7, 601)])
+        want = np.array([f_over_cube_exact(v) for v in x])
+        err = np.abs(distortion._f_over_cube(x) - want) / want
+        series = x < 0.5
+        assert err[series].max() <= 2.5e-16
+        # above, the closed form cancels: about 3 eps / x^2, plus rounding
+        assert np.all(err[~series] <= 8.0 * EPS / x[~series] ** 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jacobian_is_one_at_zero(self, n):
+        assert distortion._jacobian(n, np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+
     @settings(deadline=None, max_examples=500)
     @given(n_s_theta())
     def test_matches_the_two_branch_formula(self, args):

@@ -598,19 +598,22 @@ class TestSinkhorn:
         plan = solve_sinkhorn(C, w, w, epsilon=1e-4)
         assert plan.cost <= 1e-3
 
-    def test_marginal_violation_below_tol(self):
+    def test_marginal_violation_below_tol(self, monkeypatch):
+        monkeypatch.setattr(transport, "_SINKHORN_TOL", 1e-9)
         rng = np.random.default_rng(12)
         C = cost_matrix(measure(cloud(rng, 8)), measure(cloud(rng, 8, shift=0.5)))
         w = np.full(8, 1.0 / 8)
-        plan = solve_sinkhorn(C, w, w, epsilon=0.05, tol=1e-9)
+        plan = solve_sinkhorn(C, w, w, epsilon=0.05)
         assert plan.marginal_violation <= 2e-9
 
-    def test_nonconvergence_raises_with_violation(self):
+    def test_nonconvergence_raises_with_violation(self, monkeypatch):
+        monkeypatch.setattr(transport, "_SINKHORN_MAX_ITER", 5)
+        monkeypatch.setattr(transport, "_SINKHORN_TOL", 1e-12)
         rng = np.random.default_rng(13)
         C = cost_matrix(measure(cloud(rng, 6)), measure(cloud(rng, 6, shift=2.0)))
         w = np.full(6, 1.0 / 6)
         with pytest.raises(SinkhornError) as ei:
-            solve_sinkhorn(C, w, w, epsilon=1e-4, max_iter=5, tol=1e-12)
+            solve_sinkhorn(C, w, w, epsilon=1e-4)
         assert ei.value.violation > 0
 
     def test_regularized_cost_reported(self):

@@ -333,8 +333,9 @@ class TestVerifyBbl:
 
     def test_p_range_checked(self):
         f, g, h = self.grid(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            verify_bbl(f, g, h, s=0.5, p=-1.0)
+        for p in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                verify_bbl(f, g, h, s=0.5, p=p)
 
     def test_unknown_pairing_rejected_without_samples(self):
         f, g, h = self.grid(0.0, 1.0, 1.0)  # f = 0: no triple is drawn
