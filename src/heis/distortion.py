@@ -99,6 +99,8 @@ def p_mean(p: float, s: float, a, b):
         raise ValueError("p_mean arguments must be nonnegative")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
+    if np.isnan(p):
+        raise ValueError("p_mean exponent p must not be NaN")
     live = (a != 0.0) & (b != 0.0)
     # 1 in place of a zero argument keeps a^p finite for p < 0
     a = np.where(live, a, 1.0)

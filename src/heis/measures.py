@@ -45,6 +45,7 @@ _BALL_GAUSS_NODES = 32  # Gauss-Legendre nodes of the unit CC-ball volume integr
 _DISJOINT_PROBES = 512  # sample points per member in a union's overlap check
 _MC_PER_CELL = 6  # stderr probes of the occupancy volume per boundary cell ...
 _MAX_MC_CELLS = 1024  # ... and on at most this many boundary cells
+_WIDE = 8  # the cell search bisects a t-range of more cells than this
 _N_BOOT = 24  # bootstrap replicates of the entropy estimate ...
 _BOOT_SEED = 0  # ... and the seed of their draws
 
@@ -104,6 +105,8 @@ class BoxRegion(Region):
         if iv.ndim != 2 or iv.shape[1] != 2:
             raise ValueError("intervals must have shape (2n+1, 2)")
         core.dim_to_n(iv[:, 0])
+        if not np.all(np.isfinite(iv)):
+            raise ValueError("box intervals must be finite")
         if np.any(iv[:, 1] <= iv[:, 0]):
             raise ValueError("box intervals must be nonempty")
         object.__setattr__(self, "intervals", iv)
@@ -160,8 +163,10 @@ class CCBallRegion(Region):
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         core.dim_to_n(c)
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be finite")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
 
     @property
@@ -564,7 +569,6 @@ class VolumeEstimate:
     stderr: float
     cells_occupied: int = 0
     cells_boundary: int = 0
-    points_searched: int = 0  # points left for the r-thickening search
 
 
 def _encode(idx, lo, shape):
@@ -609,16 +613,19 @@ def _within(xs, ys, r):
     dz2 = _sq_norm(ys[:, :-1] - xs[:, :-1])
     out = np.zeros(len(xs), dtype=bool)
     live = np.flatnonzero(dz2 <= r * r)
-    dzeta, dt = geodesy._twisted_difference(np.take(xs, live, axis=0), np.take(ys, live, axis=0))
+    xs, ys = np.take(xs, live, axis=0), np.take(ys, live, axis=0)
+    # the t of `geodesy._twisted_difference`; its complex zeta only for the root solves
+    dt = ys[:, -1] - xs[:, -1] - core._twist(xs[:, :-1], ys[:, :-1])
     adt = np.abs(dt)
-    keep = np.pi * adt / 2.0 <= r * r
-    live, dz2, adt, dzeta, dt = live[keep], dz2[live][keep], adt[keep], dzeta[keep], dt[keep]
+    keep = np.flatnonzero(np.pi * adt / 2.0 <= r * r)
+    live, dz2, adt, dt = live[keep], dz2[live][keep], adt[keep], dt[keep]
     sure = np.sqrt(dz2) + np.sqrt(np.pi * adt) <= r
     out[live[sure]] = True
-    rest = ~sure
-    if np.any(rest):
-        _, _, dist, _ = geodesy._invert_arrays(dzeta[rest], dt[rest])
-        out[live[rest]] = dist <= r
+    rest = keep[~sure]
+    if len(rest):
+        dzeta, _ = geodesy._twisted_difference(xs[rest], ys[rest])
+        _, _, dist, _ = geodesy._invert_arrays(dzeta, dt[~sure])
+        out[live[~sure]] = dist <= r
     return out
 
 
@@ -632,53 +639,6 @@ def _zeta_offsets(n, r, h, gap):
     reach = np.sqrt(np.sum((np.maximum(np.abs(offsets) - gap, 0.0) * h) ** 2, axis=1))
     ok = reach <= r
     return offsets[ok], reach[ok]
-
-
-def _covered_cells_r(points, r, h, lo, shape):
-    """Grid cells whose center is within CC distance r of some point.
-
-    The bounds d >= |dzeta| and d >= sqrt(pi |dt_twisted| / 2) limit the
-    candidate (point, cell) pairs; `_within` decides each candidate.
-    """
-    d = points.shape[1]
-    n = (d - 1) // 2
-    zr = np.ascontiguousarray(points[:, :-1])
-    base = np.floor(zr / h).astype(np.int64)
-    w_t = 2.0 * r * r / np.pi
-    found = []
-    for off in _zeta_offsets(n, r, h, 0.5)[0]:
-        czeta = (base + off + 0.5) * h
-        near = np.flatnonzero(_sq_norm(czeta - zr) <= r * r)
-        if len(near) == 0:
-            continue
-        czeta_n = np.take(czeta, near, axis=0)
-        pts_n = np.take(points, near, axis=0)
-        # t of x^{-1} c is t_c - t_p - 2 sum Im(zeta_p conj(zeta_c));
-        # require |that| <= w_t, i.e. t_c in [t_p + tw - w_t, t_p + tw + w_t]
-        tw = core._twist(pts_n[:, :-1], czeta_n)
-        t_lo = pts_n[:, -1] + tw - w_t
-        t_hi = pts_n[:, -1] + tw + w_t
-        k_min = np.ceil(t_lo / h - 0.5).astype(np.int64)
-        k_max = np.floor(t_hi / h - 0.5).astype(np.int64)
-        counts = np.maximum(k_max - k_min + 1, 0)
-        if counts.sum() == 0:
-            continue
-        rep, ks = _ranges_concat(k_min, counts)
-        cand_ctr = np.empty((len(rep), d))
-        cand_ctr[:, :-1] = np.take(czeta_n, rep, axis=0)
-        cand_ctr[:, -1] = (ks + 0.5) * h
-        hit = np.flatnonzero(_within(np.take(pts_n, rep, axis=0), cand_ctr, r))
-        if len(hit) == 0:
-            continue
-        cidx = np.empty((len(hit), d), dtype=np.int64)
-        cidx[:, :-1] = np.take(base, near[rep[hit]], axis=0) + off
-        cidx[:, -1] = ks[hit]
-        ok = _in_box(cidx, lo, lo + np.asarray(shape))
-        if np.any(ok):
-            found.append(_encode(cidx[ok], lo, shape))
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return _sorted_unique(np.concatenate(found))
 
 
 def _boundary_mask(cells_idx, occupied_keys, lo, shape):
@@ -745,60 +705,99 @@ def _sheared_index(points, h) -> _ShearedIndex:
     return _ShearedIndex(points, h, z_lo, k_lo, k_hi, shape, order, keys[order])
 
 
-def _shell_points(index, occupied, r, lo, shape):
-    """The points of the cloud whose r-reach may hold a grid cell that is
-    not in `occupied` (sorted keys of the cells that hold a point).
+def _t_range(xs, cz, starts, j0, j1, h, r):
+    """Each group's t-range [j0, j1] without the cells at either end at
+    which every point of the group (the rows of `xs` from `starts`) fails
+    the t test of `_within` against a center of column `cz`.  The dt of
+    p^{-1} c that the test reads does not decrease with the cell, so each
+    new end is a bisection, the upper one over -j."""
+    tw = core._twist(xs[:, :-1], cz)
+    reps = np.diff(np.r_[starts, len(xs)])
+    ends = []
+    for side, lo, hi in ((-1, j0, j1 + 1), (1, -j1, 1 - j0)):
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            dt = ((np.repeat(-side * mid, reps) + 0.5) * h - xs[:, -1]) - tw
+            fail = np.logical_and.reduceat((side * dt > 0) & ~(np.pi * np.abs(dt) / 2.0 <= r * r),
+                                           starts)
+            lo, hi = np.where(fail & (lo < hi), mid + 1, lo), np.where(fail, hi, mid)
+        ends.append(-side * lo)
+    return ends
+
+
+def _covered_cells(index, occupied, r, lo, shape):
+    """Keys of the cells of the grid (lo, shape) that are not in `occupied`
+    (sorted keys) and whose center lies within CC distance r of some point
+    of the indexed cloud.
 
     Take a group of points with the same zeta-cell (center c_0) and the same
-    k = floor(S_p / h).  For a zeta-offset `off`, `_covered_cells_r` can
-    mark cells of column c + off whose center t lies in t_p + twist(zeta_p,
+    k = floor(S_p / h).  For a zeta-offset `off`, `_within(p, c)` passes a
+    center c of column c_0 + off h only if its t lies in t_p + twist(zeta_p,
     c_0 + off h) +- 2 r^2 / pi.  By bilinearity that is S_p + T +
     twist(zeta_p - c_0, off h) with T = twist(c_0, off h), and the last
     term is at most h^2 sum |off|; so for every point of the group the
     centers lie in [k h + T - e, (k + 1) h + T + e], e = 2 r^2 / pi +
-    h^2 sum |off| + a rounding margin.  A group whose every such range is
-    fully occupied can add no cell and is dropped.  Ranges are clipped to
-    the grid, whose other cells the search does not report.  Groups of a
-    single point are kept untested: dropping them saves no search.
+    h^2 sum |off| + a rounding margin, clipped to the grid.  A column is
+    skipped where the float zeta test of `_within` fails for the nearest
+    corner of a zeta box around the group (its one point, or its cell), and
+    so for each of its points.  A range of more than _WIDE cells is
+    narrowed by `_t_range`, and each cell left that is not occupied is
+    decided against every point of its group by `_within`.
     """
-    h = index.h
-    sk = index.sorted_keys
-    n = (index.points.shape[1] - 1) // 2
-    change = np.r_[True, sk[1:] != sk[:-1]]
-    first = np.flatnonzero(change)
-    tested = np.flatnonzero(np.diff(np.r_[first, len(sk)]) > 1)
-    gidx = np.stack(np.unravel_index(sk[first[tested]], index.shape), axis=1)
+    h, points, order, sk = index.h, index.points, index.order, index.sorted_keys
+    d = points.shape[1]
+    first = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+    size = np.diff(np.r_[first, len(sk)])
+    gidx = np.stack(np.unravel_index(sk[first], index.shape), axis=1)
     cell = gidx[:, :-1] + index.z_lo
     k = gidx[:, -1] + index.k_lo
     c0 = (cell + 0.5) * h
-    margin = 1e-9 * (1.0 + np.abs(k * h) + h
-                     + (np.sqrt(_sq_norm(c0)) + r + h) ** 2)
+    # a group's zeta box: its one point, or its cell widened past the
+    # rounding of floor(zeta / h), which spares gathering the whole cloud
+    half = 0.5 * h + 1e-9 * (np.abs(c0) + h)
+    z_min, z_max = c0 - half, c0 + half
+    one = np.flatnonzero(size == 1)
+    z_min[one] = z_max[one] = np.take(points[:, :-1], order[first[one]], axis=0)
+    margin = 1e-9 * (1.0 + np.abs(k * h) + h + (np.sqrt(_sq_norm(c0)) + r + h) ** 2)
     w_t = 2.0 * r * r / np.pi
     lo_z, hi_z = lo[:-1], lo[:-1] + np.asarray(shape[:-1])
     lo_t, hi_t = lo[-1], lo[-1] + shape[-1] - 1
-    interior = np.arange(len(tested))
-    for off in _zeta_offsets(n, r, h, 0.5)[0]:
-        col = np.take(cell, interior, axis=0) + off
-        on = np.flatnonzero(_in_box(col, lo_z, hi_z))
-        g = interior[on]
+    # key of (column, t-cell j) = zkey + j, and a column `off` away adds a
+    # fixed amount to the key of an on-grid column
+    zkey = _encode(cell, lo_z, shape[:-1]) * shape[-1] - lo_t
+    stride = np.cumprod(shape[:0:-1])[::-1]
+    found = [np.empty(0, dtype=np.int64)]
+    for off in _zeta_offsets((d - 1) // 2, r, h, 0.5)[0]:
+        col = cell + off
+        cz = (col + 0.5) * h
+        gap = np.maximum(z_min - cz, cz - z_max)
+        g = np.flatnonzero(_sq_norm(np.maximum(gap, 0.0, out=gap)) <= r * r)
+        g = g[_in_box(np.take(col, g, axis=0), lo_z, hi_z)]
         T = core._twist(np.take(c0, g, axis=0), off * h)
         e = w_t + h * h * np.sum(np.abs(off)) + margin[g]
         j0 = np.maximum(k[g] + np.ceil((T - e) / h - 0.5).astype(np.int64), lo_t)
         j1 = np.minimum(k[g] + np.floor((T + e) / h + 0.5).astype(np.int64), hi_t)
-        # keys of (column, j0) and (column, j1); an empty range's are not read
-        zkey = _encode(np.take(col, on, axis=0), lo_z, shape[:-1]) * shape[-1] - lo_t
-        c_lo = np.searchsorted(occupied, zkey + j0, side="left")
-        c_hi = np.searchsorted(occupied, zkey + j1, side="right")
-        full = np.ones(len(interior), dtype=bool)
-        full[on] = (j0 > j1) | (c_hi - c_lo == j1 - j0 + 1)
-        interior = interior[full]
-        if len(interior) == 0:
-            break
-    dropped = np.zeros(len(first), dtype=bool)
-    dropped[tested[interior]] = True
-    keep = np.ones(len(sk), dtype=bool)
-    keep[index.order[dropped[np.cumsum(change) - 1]]] = False
-    return np.compress(keep, index.points, axis=0)
+        wide = np.flatnonzero(j1 - j0 > _WIDE)
+        if len(wide):
+            gw = g[wide]
+            pr, pos = _ranges_concat(first[gw], size[gw])
+            j0[wide], j1[wide] = _t_range(np.take(points, order[pos], axis=0),
+                                          np.take(cz, gw[pr], axis=0),
+                                          np.cumsum(size[gw]) - size[gw], j0[wide], j1[wide], h, r)
+        rep, js = _ranges_concat(j0, np.maximum(j1 - j0 + 1, 0))
+        keys = zkey[g[rep]] + (int(np.dot(off, stride)) + js)
+        free = np.flatnonzero(~_in_sorted(keys, occupied))
+        if len(free) == 0:
+            continue
+        grp = g[rep[free]]
+        keys, js = keys[free], js[free]
+        pr, pos = _ranges_concat(first[grp], size[grp])
+        ctr = np.empty((len(pr), d))
+        ctr[:, :-1] = np.take(cz, grp[pr], axis=0)
+        ctr[:, -1] = (js[pr] + 0.5) * h
+        hit = _within(np.take(points, order[pos], axis=0), ctr, r)
+        found.append(keys[pr[hit]])
+    return _sorted_unique(np.concatenate(found))
 
 
 def _covered_queries(queries, index, r):
@@ -909,14 +908,11 @@ def estimate_volume(points, r: float, h: float) -> VolumeEstimate:
     lo, shape = _cloud_grid(points, r, h)
 
     base_keys = _sorted_unique(_encode(_cell_index(points, h), lo, shape))
-    searched = 0
     if r > 0:
-        # one sheared index serves the prune and the boundary probes
+        # one sheared index serves the r-thickening and the boundary probes
         index = _sheared_index(points, h)
-        shell = _shell_points(index, base_keys, r, lo, shape)
-        searched = len(shell)
-        covered = _covered_cells_r(shell, r, h, lo, shape)
-        keys = _sorted_unique(np.concatenate([base_keys, covered]))
+        covered = _covered_cells(index, base_keys, r, lo, shape)
+        keys = np.sort(np.concatenate([base_keys, covered]))
     else:
         keys = base_keys
 
@@ -942,4 +938,4 @@ def estimate_volume(points, r: float, h: float) -> VolumeEstimate:
         stderr = float(np.sqrt(np.sum(f * (1.0 - f)) * scale) * h ** d)
 
     return VolumeEstimate(float(volume), float(stderr), cells_occupied=len(keys),
-                          cells_boundary=n_bnd, points_searched=searched)
+                          cells_boundary=n_bnd)

@@ -54,6 +54,22 @@ class TestConfig:
         assert run_cli("verify-bmi", "--config", str(path), "--dry-run") == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify-bmi", "verify-cd", "verify-bbl", "transport"])
+    @pytest.mark.parametrize("region, message", [
+        ({"kind": "box", "intervals": [[0, float("inf")], [0, 1], [0, 1]]},
+         "box intervals must be finite"),
+        ({"kind": "cc_ball", "center": [float("nan"), 0, 0], "radius": 1},
+         "ball center must be finite"),
+    ])
+    def test_non_finite_region_rejected(self, command, region, message, tmp_path, capsys):
+        # json writes and reads these as Infinity and NaN
+        data = ExperimentConfig().to_json()
+        data["B"] = region
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(command, "--config", str(path), "--dry-run") == 1
+        assert message in capsys.readouterr().err
+
     def test_s_range_parsing(self):
         assert _parse_s_values("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert _parse_s_values("0.25,0.5") == [0.25, 0.5]

@@ -261,6 +261,11 @@ class TestPMean:
         with pytest.raises(ValueError):
             p_mean(1.0, 0.5, -1.0, 2.0)
 
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_nan_p_rejected(self, s):
+        with pytest.raises(ValueError, match="p must not be NaN"):
+            p_mean(np.nan, s, 1.0, 2.0)
+
 
 nonneg = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(0.0, 10.0))
 

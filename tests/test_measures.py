@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -47,6 +48,19 @@ class TestRegions:
     def test_box_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             BoxRegion(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_regions_rejected(self, bad):
+        with pytest.raises(ValueError, match="box intervals must be finite"):
+            BoxRegion(np.array([[0.0, bad], [0.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="ball center must be finite"):
+            CCBallRegion(np.array([0.0, bad, 0.0]), 1.0)
+        with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+            CCBallRegion(np.zeros(3), abs(bad))
+        box = BoxRegion.unit(1).to_json()
+        box["intervals"][2][0] = bad
+        with pytest.raises(ValueError, match="box intervals must be finite"):
+            region_from_json({"kind": "union", "members": [BoxRegion.unit(1).to_json(), box]})
 
     def test_json_roundtrip(self):
         for reg in (BoxRegion.unit(1), CCBallRegion(core.origin(1), 1.0), two_box_union()):
@@ -703,22 +717,84 @@ def cloud_grid(points, h, pad):
     return lo, tuple((hi - lo).tolist())
 
 
-def occupied_cells(points, r, h, lo, shape, prune=True):
-    """The occupied set of `estimate_volume` on the grid (lo, shape), with
-    the r-thickening search run on the pruned cloud (or on every point),
-    and the points searched."""
+def occupied_cells(points, r, h, lo, shape):
+    """The occupied set of `estimate_volume` on the grid (lo, shape): the
+    cells that hold a point and the cells that `_covered_cells` adds."""
     base = np.unique(measures._encode(measures._cell_index(points, h), lo, shape))
-    if prune:
-        points = measures._shell_points(measures._sheared_index(points, h), base, r, lo, shape)
-    return np.union1d(base, measures._covered_cells_r(points, r, h, lo, shape)), points
+    index = measures._sheared_index(points, h)
+    return np.union1d(base, measures._covered_cells(index, base, r, lo, shape))
+
+
+def brute_cells(points, r, h, lo, shape):
+    """Keys of the cells of the grid (lo, shape) whose center passes
+    `_within` against some point, from every (point, cell) pair in a window
+    around each point.  The window holds the zeta-cells whose center passes
+    `_within`'s zeta test, and the t-cells of each whose center is within
+    2 r^2 / pi of the point's twisted t, widened by one cell and 4 ulps of t
+    on either side.  `_within`'s t test reads the dt of p^{-1} c, which
+    does not decrease with the cell's t: dt fails the test below the
+    window's first cell and above its last, so no cell beyond them passes,
+    and a pair inside that fails it, or whose cell is off the grid, is not
+    handed to `_within`."""
+    d = points.shape[1]
+    m = int(np.ceil(r / h)) + 1
+    base = np.floor(points[:, :-1] / h).astype(np.int64)
+    pick, cols = [], []
+    for off in itertools.product(range(-m, m + 1), repeat=d - 1):
+        if np.sum(np.maximum(np.abs(off) - 1.0, 0.0) ** 2) * h * h > r * r:
+            continue  # every center of the column is farther than r from the cell
+        col = base + off
+        near = np.flatnonzero(np.sum(((col + 0.5) * h - points[:, :-1]) ** 2, axis=1) <= r * r)
+        pick.append(near)
+        cols.append(col[near])
+    p, col = points[np.concatenate(pick)], np.concatenate(cols)
+    cz = (col + 0.5) * h
+    tw = core._twist(p[:, :-1], cz)
+    w_t = 2.0 * r * r / np.pi
+    pad = 1 + np.ceil(4 * np.spacing(np.abs(p[:, -1]) + np.abs(tw)) / h)
+    j0 = (np.floor((p[:, -1] + tw - w_t) / h - 0.5) - pad).astype(np.int64)
+    j1 = (np.ceil((p[:, -1] + tw + w_t) / h - 0.5) + pad).astype(np.int64)
+
+    def t_test(i, j, side):
+        """`_within`'s t test of point i against the center of cell j of its
+        column, and whether dt lies on `side` of 0."""
+        dt = ((j + 0.5) * h - p[i, -1]) - tw[i]
+        return np.pi * np.abs(dt) / 2.0 <= r * r, side * dt > 0
+
+    every = np.arange(len(p))
+    for ends, side in ((j0, -1.0), (j1, 1.0)):
+        passes, beyond = t_test(every, ends, side)
+        assert np.all(~passes & beyond)
+    counts = j1 - j0 + 1
+    rep = np.repeat(every, counts)
+    js = j0[rep] + np.arange(len(rep)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cells = np.column_stack([col[rep], js])
+    on = np.all((cells >= lo) & (cells < lo + np.asarray(shape)), axis=1)
+    keep = t_test(rep, js, 1.0)[0] & on
+    rep, js = rep[keep], js[keep]
+    keys = np.ravel_multi_index((cells[keep] - lo).T, shape)
+    # in blocks, each skipping the cells that earlier blocks found
+    found = np.empty(0, dtype=np.int64)
+    for block in np.array_split(np.arange(len(rep)), 8):
+        block = block[~np.isin(keys[block], found)]
+        i, j = rep[block], js[block]
+        hit = measures._within(p[i], np.column_stack([cz[i], (j + 0.5) * h]), r)
+        found = np.union1d(found, keys[block[hit]])
+    return found
+
+
+def assert_search_is_brute(points, r, h, lo, shape):
+    base = np.unique(measures._encode(measures._cell_index(points, h), lo, shape))
+    got = measures._covered_cells(measures._sheared_index(points, h), base, r, lo, shape)
+    assert np.array_equal(got, np.setdiff1d(brute_cells(points, r, h, lo, shape), base))
 
 
 def dense_case(rng, n, h, r, abs_zeta0, abs_t0, cells, per_cell):
     """A `cluster_case` cloud `cells` = (zeta, t) cells wide per axis, with
     about `per_cell` points per cell, so that most sheared groups away from
-    the cloud's edge are interior.  Density per cell is what the prune
-    sees: at r ~ h < 1 a CC ball (volume ~ 3.3 r^4 in H^1) is much thinner
-    in t than a cell."""
+    the cloud's edge are interior.  Density per cell is what the skip of
+    occupied cells sees: at r ~ h < 1 a CC ball (volume ~ 3.3 r^4 in H^1)
+    is much thinner in t than a cell."""
     m_z, m_t = cells
     n_pts = int(per_cell * m_z ** (2 * n) * m_t)
     _, points = cluster_case(rng, n, h, r, abs_zeta0, abs_t0, m_z * h / 2, n_pts, 1,
@@ -731,11 +807,10 @@ def dense_cases(draw):
     """n = 1, 2; r/h in {0.6, 1, 1.7}; |zeta0| up to 1e3 and |t0| up to 1e6.
     Cells of edge 2 let the twist across a cell, up to h^2 sum |off|, span
     cells; cells of 1e-9 and 1e-10 put the rounding of the sheared keys at
-    the scale of a cell.  A grid without padding clips the prune's ranges.
-    Where 2 |zeta0|, the t-shear across one column in cells, exceeds the
-    cloud's t-width in cells, a column's points spread over more cells
-    than they fill and nothing is pruned; those cases check that the
-    prune stays out of the way."""
+    the scale of a cell.  A grid without padding clips the search's
+    t-ranges.  Where 2 |zeta0|, the t-shear across one column in cells,
+    exceeds the cloud's t-width in cells, a column's points spread over
+    more cells than they fill and few candidate cells are occupied."""
     n = draw(st.sampled_from([1, 2]))
     h = draw(st.sampled_from([1e-10, 1e-9, 1e-4, 0.05, 0.5, 2.0]))
     r = h * draw(st.sampled_from([0.6, 1.0, 1.7]))
@@ -753,56 +828,81 @@ def dense_cases(draw):
 
 
 class TestShellPrune:
+    """`_covered_cells` skips the cells that already hold a point and
+    decides the rest against their sheared group; the occupied set equals
+    the brute-force reference."""
+
     @settings(deadline=None, max_examples=50)
     @given(dense_cases())
     def test_pruned_search_gives_the_same_cells(self, case):
         points, r, h, (lo, shape) = case
-        got, _ = occupied_cells(points, r, h, lo, shape)
-        want, _ = occupied_cells(points, r, h, lo, shape, prune=False)
-        assert np.array_equal(got, want)
+        assert_search_is_brute(points, r, h, lo, shape)
 
-    @pytest.mark.parametrize("n, h, ratio, abs_zeta0, abs_t0, cells, per_cell, acts", [
+    @settings(deadline=None, max_examples=100)
+    @given(probe_cases())
+    def test_sparse_clouds_give_the_same_cells(self, case):
+        # at most 40 points, most of them alone in their sheared group, so
+        # few cells are reached from more than one point
+        _, points, r, h = case
+        assert_search_is_brute(points, r, h, *measures._cloud_grid(points, r, h))
+
+    @pytest.mark.parametrize("n, h, ratio, abs_zeta0, abs_t0, cells, per_cell", [
         # the twist across a cell, h^2 sum |off|, is half a cell to several cells
-        (1, 0.5, 1.0, 0.0, 0.0, (8, 40), 4, True),
-        (1, 2.0, 0.6, 0.0, 0.0, (8, 40), 4, True),
-        (2, 0.05, 0.6, 0.0, 0.0, (5, 4), 6, True),
-        # the rounding of t near 1e6 is a tenth of a cell: the margin keeps
-        # every group (without it, three cells are lost here)
-        (1, 1e-9, 1.0, 30.0, 1e6, (8, 40), 4, False),
+        (1, 0.5, 1.0, 0.0, 0.0, (8, 40), 4),
+        (1, 2.0, 0.6, 0.0, 0.0, (8, 40), 4),
+        (2, 0.05, 0.6, 0.0, 0.0, (5, 4), 6),
+        # the rounding of t near 1e6 is a tenth of a cell, and the margin
+        # a million cells, clipped to the grid and narrowed by bisection
+        (1, 1e-9, 1.0, 30.0, 1e6, (8, 40), 4),
     ])
     def test_pruned_search_where_the_range_terms_matter(self, n, h, ratio, abs_zeta0, abs_t0,
-                                                        cells, per_cell, acts):
+                                                        cells, per_cell):
         rng = np.random.default_rng(43)
         r = ratio * h
         points = dense_case(rng, n, h, r, abs_zeta0, abs_t0, cells, per_cell)
         lo, shape = cloud_grid(points, h, np.zeros(2 * n + 1))
-        got, searched = occupied_cells(points, r, h, lo, shape)
-        want, _ = occupied_cells(points, r, h, lo, shape, prune=False)
-        assert np.array_equal(got, want)
-        assert (len(searched) < len(points)) == acts
+        base = np.unique(measures._encode(measures._cell_index(points, h), lo, shape))
+        want = brute_cells(points, r, h, lo, shape)
+        assert np.array_equal(occupied_cells(points, r, h, lo, shape), np.union1d(base, want))
+
+    def test_cells_where_t_over_h_nears_2_53(self):
+        # t / h reaches 8.9e15, where floats are one apart: the window that
+        # the search used to take per point in t / h lost 151 of 4849 cells
+        r, h = 6e-11, 1e-10
+        points = dense_case(np.random.default_rng(5), 2, h, r, 0.0, 1e6, (5, 4), 6)
+        assert np.max(np.abs(points[:, -1])) / h > 2.0 ** 52
+        lo, shape = measures._cloud_grid(points, r, h)
+        want = np.union1d(np.unique(measures._encode(measures._cell_index(points, h), lo, shape)),
+                          brute_cells(points, r, h, lo, shape))
+        assert len(want) == 4849
+        assert estimate_volume(points, r, h).cells_occupied == len(want)
+        assert np.array_equal(occupied_cells(points, r, h, lo, shape), want)
 
     def test_prune_drops_most_of_a_dense_cloud(self):
         # about 6 points per cell; the shear 2 |zeta| r stays below two cells
         box = BoxRegion(np.array([[-0.5, 0.5], [-0.5, 0.5], [0.0, 1.0]]))
         pts = sample_uniform(box, 40_000, seed=31)
         r = h = 0.05
-        est = estimate_volume(pts, r, h)
-        assert 0 < est.points_searched < len(pts) / 2
-        lo, shape = cloud_grid(pts, h, np.full(3, 0.5))
-        got, searched = occupied_cells(pts, r, h, lo, shape)
-        assert len(searched) == est.points_searched
-        want, _ = occupied_cells(pts, r, h, lo, shape, prune=False)
-        assert np.array_equal(got, want)
+        lo, shape = measures._cloud_grid(pts, r, h)
+        base = np.unique(measures._encode(measures._cell_index(pts, h), lo, shape))
+        want = np.union1d(base, brute_cells(pts, r, h, lo, shape))
+        assert len(want) > len(base)
+        assert estimate_volume(pts, r, h).cells_occupied == len(want)
 
     def test_sparse_and_r_zero_counts(self):
         pts = np.array([[0.5, 0.5, 0.5], [0.52, 0.5, 0.5], [1.5, 1.5, 1.5]])
-        assert estimate_volume(pts, 0.05, 0.05).points_searched == 3
-        assert estimate_volume(pts, 0.0, 0.05).points_searched == 0
+        lo, shape = measures._cloud_grid(pts, 0.05, 0.05)
+        want = np.union1d(np.unique(measures._encode(measures._cell_index(pts, 0.05), lo, shape)),
+                          brute_cells(pts, 0.05, 0.05, lo, shape))
+        assert estimate_volume(pts, 0.05, 0.05).cells_occupied == len(want)
+        # the first two points share a cell
+        assert estimate_volume(pts, 0.0, 0.05).cells_occupied == 2
 
 
 @st.composite
 def thickened_clouds(draw):
-    """Dense clouds in H^1 and H^2 on which the prune acts, with r > 0."""
+    """Dense clouds in H^1 and H^2, most of whose candidate cells hold a
+    point, with r > 0."""
     n = draw(st.sampled_from([1, 2]))
     h = draw(st.sampled_from([0.05, 0.1]))
     abs_zeta0 = draw(st.sampled_from([0.0, 1.0]))
@@ -827,7 +927,7 @@ class TestVolumeMonotone:
         points, r, h = case
         part = points[: max(1, int(frac * len(points)))]
         lo, shape = measures._cloud_grid(points, r, h)
-        small, _ = occupied_cells(part, r, h, lo, shape)
-        large, _ = occupied_cells(points, r, h, lo, shape)
+        small = occupied_cells(part, r, h, lo, shape)
+        large = occupied_cells(points, r, h, lo, shape)
         assert np.all(np.isin(small, large))
         assert estimate_volume(part, r, h).volume <= estimate_volume(points, r, h).volume
