@@ -45,7 +45,7 @@ _BALL_GAUSS_NODES = 32  # Gauss-Legendre nodes of the unit CC-ball volume integr
 _DISJOINT_PROBES = 512  # sample points per member in a union's overlap check
 _MC_PER_CELL = 6  # stderr probes of the occupancy volume per boundary cell ...
 _MAX_MC_CELLS = 1024  # ... and on at most this many boundary cells
-_WIDE = 8  # the cell search bisects a t-range of more cells than this
+_WIDE = 8  # the cell search bisects t-ranges of more cells (shorter: cheaper to check)
 _N_BOOT = 24  # bootstrap replicates of the entropy estimate ...
 _BOOT_SEED = 0  # ... and the seed of their draws
 
@@ -603,6 +603,13 @@ def _in_box(idx, lo, hi):
     return ok
 
 
+def _t_test(t_x, twist, t_y, r):
+    """The t of x^{-1} y as `geodesy._twisted_difference` forms it (twist =
+    core._twist(zeta_x, zeta_y)), and `_within`'s bound pi |dt| / 2 <= r^2."""
+    dt = t_y - t_x - twist
+    return dt, np.pi * np.abs(dt) / 2.0 <= r * r
+
+
 def _within(xs, ys, r):
     """d(x_k, y_k) <= r elementwise for matched clouds.
 
@@ -614,12 +621,10 @@ def _within(xs, ys, r):
     out = np.zeros(len(xs), dtype=bool)
     live = np.flatnonzero(dz2 <= r * r)
     xs, ys = np.take(xs, live, axis=0), np.take(ys, live, axis=0)
-    # the t of `geodesy._twisted_difference`; its complex zeta only for the root solves
-    dt = ys[:, -1] - xs[:, -1] - core._twist(xs[:, :-1], ys[:, :-1])
-    adt = np.abs(dt)
-    keep = np.flatnonzero(np.pi * adt / 2.0 <= r * r)
-    live, dz2, adt, dt = live[keep], dz2[live][keep], adt[keep], dt[keep]
-    sure = np.sqrt(dz2) + np.sqrt(np.pi * adt) <= r
+    dt, near = _t_test(xs[:, -1], core._twist(xs[:, :-1], ys[:, :-1]), ys[:, -1], r)
+    keep = np.flatnonzero(near)
+    live, dz2, dt = live[keep], dz2[live][keep], dt[keep]
+    sure = np.sqrt(dz2) + np.sqrt(np.pi * np.abs(dt)) <= r
     out[live[sure]] = True
     rest = keep[~sure]
     if len(rest):
@@ -705,21 +710,23 @@ def _sheared_index(points, h) -> _ShearedIndex:
     return _ShearedIndex(points, h, z_lo, k_lo, k_hi, shape, order, keys[order])
 
 
-def _t_range(xs, cz, starts, j0, j1, h, r):
-    """Each group's t-range [j0, j1] without the cells at either end at
-    which every point of the group (the rows of `xs` from `starts`) fails
-    the t test of `_within` against a center of column `cz`.  The dt of
-    p^{-1} c that the test reads does not decrease with the cell, so each
-    new end is a bisection, the upper one over -j."""
-    tw = core._twist(xs[:, :-1], cz)
-    reps = np.diff(np.r_[starts, len(xs)])
+def _t_range(index, first, size, groups, cz, j0, j1, r):
+    """The t-ranges [j0, j1] of the sheared `groups` (starting at `first` in
+    sorted order, `size` points) without the cells at either end at which
+    every point of the group fails `_t_test` against a center of its column
+    `cz`.  The dt of p^{-1} c that the test reads does not decrease with the
+    cell, so each new end is a bisection, the upper one over -j."""
+    pr, pos = _ranges_concat(first[groups], size[groups])
+    xs = np.take(index.points, index.order[pos], axis=0)
+    tw = core._twist(xs[:, :-1], np.take(cz, groups[pr], axis=0))
+    reps = size[groups]
+    starts = np.cumsum(reps) - reps
     ends = []
     for side, lo, hi in ((-1, j0, j1 + 1), (1, -j1, 1 - j0)):
         while np.any(lo < hi):
             mid = (lo + hi) // 2
-            dt = ((np.repeat(-side * mid, reps) + 0.5) * h - xs[:, -1]) - tw
-            fail = np.logical_and.reduceat((side * dt > 0) & ~(np.pi * np.abs(dt) / 2.0 <= r * r),
-                                           starts)
+            dt, near = _t_test(xs[:, -1], tw, (np.repeat(-side * mid, reps) + 0.5) * index.h, r)
+            fail = np.logical_and.reduceat((side * dt > 0) & ~near, starts)
             lo, hi = np.where(fail & (lo < hi), mid + 1, lo), np.where(fail, hi, mid)
         ends.append(-side * lo)
     return ends
@@ -779,16 +786,10 @@ def _covered_cells(index, occupied, r, lo, shape):
         j1 = np.minimum(k[g] + np.floor((T + e) / h + 0.5).astype(np.int64), hi_t)
         wide = np.flatnonzero(j1 - j0 > _WIDE)
         if len(wide):
-            gw = g[wide]
-            pr, pos = _ranges_concat(first[gw], size[gw])
-            j0[wide], j1[wide] = _t_range(np.take(points, order[pos], axis=0),
-                                          np.take(cz, gw[pr], axis=0),
-                                          np.cumsum(size[gw]) - size[gw], j0[wide], j1[wide], h, r)
+            j0[wide], j1[wide] = _t_range(index, first, size, g[wide], cz, j0[wide], j1[wide], r)
         rep, js = _ranges_concat(j0, np.maximum(j1 - j0 + 1, 0))
         keys = zkey[g[rep]] + (int(np.dot(off, stride)) + js)
         free = np.flatnonzero(~_in_sorted(keys, occupied))
-        if len(free) == 0:
-            continue
         grp = g[rep[free]]
         keys, js = keys[free], js[free]
         pr, pos = _ranges_concat(first[grp], size[grp])

@@ -758,8 +758,8 @@ def brute_cells(points, r, h, lo, shape):
     def t_test(i, j, side):
         """`_within`'s t test of point i against the center of cell j of its
         column, and whether dt lies on `side` of 0."""
-        dt = ((j + 0.5) * h - p[i, -1]) - tw[i]
-        return np.pi * np.abs(dt) / 2.0 <= r * r, side * dt > 0
+        dt, near = measures._t_test(p[i, -1], tw[i], (j + 0.5) * h, r)
+        return near, side * dt > 0
 
     every = np.arange(len(p))
     for ends, side in ((j0, -1.0), (j1, 1.0)):
