@@ -218,7 +218,7 @@ def _cmd_transport(args) -> int:
     else:
         eps = eps if eps is not None else 0.05 * float(np.median(C.cost))
         plan = solve_sinkhorn(C, mu.weights, nu.weights, eps)
-    print(f"transport cost={plan.cost!r} w2={np.sqrt(plan.cost)!r} "
+    print(f"transport cost={plan.cost!r} w2={float(np.sqrt(plan.cost))!r} "
           f"support={len(plan)} method={plan.method}")
     if cfg.output:
         with open(cfg.output, "w") as fh:
@@ -387,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        set_max_workers(args.threads)
     try:
+        if "threads" in vars(args):
+            set_max_workers(args.threads)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"heis: error: {err}", file=sys.stderr)

@@ -86,7 +86,7 @@ def set_max_workers(k: int):
     for any worker count; block boundaries are fixed)."""
     global _max_workers
     if k < 1:
-        raise ValueError("worker count must be >= 1")
+        raise ValueError(f"worker count must be >= 1, got {k}")
     _max_workers = int(k)
 
 

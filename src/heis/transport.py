@@ -5,9 +5,10 @@ with the prescribed marginals.  The exact solver is the HiGHS dual simplex
 on a shortlist of arcs, certified optimal by its duals on the full cost
 matrix; equal-size uniform clouds take the assignment-problem fast path
 (the optimal vertex is then a permutation).  HiGHS is called through the
-core that scipy bundles (`scipy.optimize._highspy`), with the options
-`linprog(method="highs-ds")` passes, so the plans are `linprog`'s bit for
-bit without its per-call Python overhead (`_highs_solve`).  Both paths,
+core that scipy bundles (`scipy.optimize._highspy`), without presolve and
+without `linprog`'s per-call Python overhead (`_highs_solve`); the plan's
+masses are the unique flow on the support it certifies, a forest
+(`_forest_flow`), so they do not depend on HiGHS's pivot path.  Both paths,
 above 64 atoms, start from the duals of the stride-2 sub-problem,
 c-transformed to the whole matrix (`_coarse_reduced`): the LP takes the
 arcs cheapest in that reduced cost as its first shortlist, and the
@@ -26,12 +27,13 @@ supported pair.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy._core import (HighsDebugLevel, HighsLp, HighsModelStatus,
-                                           HighsOptions, MatrixFormat, _Highs, kHighsInf,
+from scipy.optimize._highspy._core import (HighsDebugLevel, HighsModelStatus, HighsOptions,
+                                           MatrixFormat, ObjSense, _Highs, kHighsInf,
                                            simplex_constants)
 from scipy.special import logsumexp
 
@@ -184,7 +186,10 @@ def _lp_plan(cost, a, b):
     c_ij - y_i - y_{m+j} < -tol, joins it; when none is left, no arc of the
     full raw cost may price below -tol, which certifies the plan optimal.
     The duals only pick the first shortlist, so the certificate does not
-    rest on them.
+    rest on them.  The plan's arcs are those HiGHS's x ships mass on; its
+    masses are the flow on them that meets a and b (`_forest_flow`), which
+    depends on those arcs and the marginals alone: another shortlist that
+    ends on the same support, such as the cold path's, gives the same bits.
     """
     m, n = cost.shape
     tol = 1e-11 * max(1.0, float(np.max(np.abs(cost))))
@@ -206,35 +211,25 @@ def _lp_plan(cost, a, b):
         keep |= new
     if reduced.min() < -tol:
         raise RuntimeError(f"LP plan not certified: reduced cost {reduced.min():.3e} < -{tol:.3e}")
-    pos = x > 0
-    return ii[pos], jj[pos], x[pos], y
+    ii, jj = ii[x > 0], jj[x > 0]
+    return ii, jj, _forest_flow(ii, jj, a, b), y
 
 
 def _highs_solve(c, rows, rhs):
     """min c.x subject to A x = rhs, x >= 0, where column k of A holds a 1
     in rows rows[2k] and rows[2k + 1]; returns x and the row duals.
 
-    This is `linprog(method="highs-ds", options=_HIGHS_TOLERANCES)` without
-    its Python wrapper: the same HiGHS core that scipy bundles, the same
-    options (presolve, dual simplex, no output), so the same bits.  Raises
+    This is `linprog(method="highs-ds", options={**_HIGHS_TOLERANCES,
+    "presolve": False})` without its Python wrapper: the same HiGHS core
+    that scipy bundles, the same options (dual simplex, presolve off, no
+    output), so the same bits.  On these LPs presolve takes most of a
+    solve.  The model is passed as arrays in one call.  Raises
     RuntimeError unless HiGHS reports an optimum with finite x and duals
     (a NaN dual would pass the certificate: nan < -tol is False).
     """
     k, r = len(c), len(rhs)
-    lp = HighsLp()
-    lp.num_col_, lp.num_row_ = k, r
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(k)
-    lp.col_upper_ = np.full(k, kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = rhs
-    A = lp.a_matrix_
-    A.format_ = MatrixFormat.kColwise
-    A.num_col_, A.num_row_ = k, r
-    A.start_ = np.arange(0, 2 * k + 1, 2)
-    A.index_ = rows
-    A.value_ = np.ones(2 * k)
     options = HighsOptions()
-    for key, value in {"presolve": "on", "solver": "simplex",
+    for key, value in {"presolve": "off", "solver": "simplex",
                        "simplex_strategy": simplex_constants.SimplexStrategy.kSimplexStrategyDual,
                        "highs_debug_level": HighsDebugLevel.kHighsDebugLevelNone,
                        "output_flag": False, "log_to_console": False,
@@ -242,7 +237,10 @@ def _highs_solve(c, rows, rhs):
         setattr(options, key, value)
     highs = _Highs()
     highs.passOptions(options)
-    highs.passModel(lp)
+    highs.passModel(k, r, 2 * k, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+                    c, np.zeros(k), np.full(k, kHighsInf), rhs, rhs,
+                    np.arange(0, 2 * k + 1, 2, dtype=np.int32), rows.astype(np.int32),
+                    np.ones(2 * k), np.zeros(k, dtype=np.int32))  # all columns continuous
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
@@ -252,6 +250,48 @@ def _highs_solve(c, rows, rhs):
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise RuntimeError("HiGHS failed on the transport LP: non-finite solution")
     return x, y
+
+
+def _forest_flow(i, j, a, b):
+    """The masses on arcs (i, j) that meet the marginals a (rows) and b
+    (columns); the arcs must form a forest, on which that flow is unique.
+
+    Leaf elimination in a fixed node order: the highest-numbered leaf
+    (rows are nodes 0..m-1, columns m..m+n-1, so columns go first) sends its
+    unmet marginal along its one arc, which then leaves the graph; each
+    tree's last node keeps the rounding error.  A column that is a leaf
+    from the start thus gets its weight exactly.  The masses depend on the
+    set of arcs and on a, b alone, not on the arcs' order.  Each node keeps
+    the XOR of its remaining arcs' numbers and each arc the XOR of its two
+    ends, so a leaf reads its one arc, and that arc's other end, at once.
+    Raises RuntimeError if the arcs hold a cycle.
+    """
+    m = len(a)
+    ends = np.concatenate([i, m + j])
+    degree = np.bincount(ends, minlength=m + len(b)).tolist()
+    link = np.zeros(m + len(b), dtype=np.int64)
+    np.bitwise_xor.at(link, ends, np.tile(np.arange(len(i)), 2))
+    link, pair = link.tolist(), (i ^ (m + j)).tolist()
+    left = np.concatenate([a, b]).tolist()
+    mass = [0.0] * len(i)
+    leaves = [-k for k, d in enumerate(degree) if d == 1]  # a heap of -node
+    heapq.heapify(leaves)
+    while leaves:
+        k = -heapq.heappop(leaves)
+        if degree[k] != 1:  # its arc left with the other end
+            continue
+        e = link[k]
+        other = pair[e] ^ k
+        mass[e] = left[k]
+        left[other] -= left[k]
+        link[other] ^= e
+        degree[k] = 0
+        degree[other] -= 1
+        if degree[other] == 1:
+            heapq.heappush(leaves, -other)
+    if any(degree):
+        raise RuntimeError("LP plan support is not a forest")
+    return np.array(mass)
 
 
 def _coarse_reduced(cost, col_duals):
@@ -364,8 +404,8 @@ def solve_sinkhorn(C: CostMatrix, src_weights, tgt_weights, epsilon: float) -> T
     plan, `cost_regularized` adds the epsilon * KL penalty, and
     `marginal_violation` is the pruned plan's largest error at one atom.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     a, b = _check_weights(C, src_weights, tgt_weights)
     la, lb = np.log(a), np.log(b)
     cost = C.cost

@@ -170,6 +170,13 @@ class TestVerifyCommands:
         mass = sum(p[2] for p in plan["pairs"])
         assert mass == pytest.approx(1.0, abs=1e-9)
 
+    def test_transport_prints_plain_floats(self, capsys):
+        assert run_cli("transport", "--N", "8") == 0
+        line = capsys.readouterr().out.strip()
+        cost, w2 = (float(field.split("=")[1]) for field in line.split()[1:3])
+        assert line == f"transport cost={cost!r} w2={w2!r} support=8 method=exact_lp"
+        assert w2 == np.sqrt(cost)
+
     @pytest.mark.parametrize("argv", [
         ["verify-cd"], ["verify-bmi"], ["verify-sbmi"], ["verify-bbl"],
         ["dilate-check"], ["step-limit"],
@@ -256,6 +263,12 @@ class TestVerifyCommands:
         (["step-limit", "--s", "0.25,0.75", "--depths", "0"], "step-limit runs at one s"),
         (["step-limit", "--s", "0:1:0.5", "--dry-run"], "--s 0:1:0.5 gives 3"),
         (["verify-bbl", "--p", "nan", "--cells", "4"], "p must be >= -1/(2n+1)"),
+        (["step-limit", "--threads", "0", "--N", "4", "--depths", "0"],
+         "worker count must be >= 1, got 0"),
+        (["transport", "--threads", "-1", "--N", "4"], "worker count must be >= 1, got -1"),
+        (["verify-cd", "--threads", "0", "--dry-run"], "worker count must be >= 1, got 0"),
+        (["transport", "--N", "3", "--solver", "sinkhorn(inf)"],
+         "epsilon must be positive and finite, got inf"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):

@@ -521,8 +521,8 @@ class TestHighsSolve:
         x, y = transport._highs_solve(cost[ii, jj], rows, rhs)
         A_eq = sparse.csc_array((np.ones(len(rows)), rows, np.arange(0, len(rows) + 1, 2)),
                                 shape=(m + n, len(ii)))
-        res = linprog(cost[ii, jj], A_eq=A_eq, b_eq=rhs, bounds=(0, None),
-                      method="highs-ds", options=transport._HIGHS_TOLERANCES)
+        res = linprog(cost[ii, jj], A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs-ds",
+                      options={**transport._HIGHS_TOLERANCES, "presolve": False})
         assert res.status == 0
         assert np.array_equal(x, res.x)
         assert np.array_equal(y, res.eqlin.marginals)
@@ -546,6 +546,92 @@ class TestHighsSolve:
         monkeypatch.setattr(transport, "_Highs", NanSolution)
         with pytest.raises(RuntimeError, match="HiGHS failed .*: non-finite"):
             solve_exact(CostMatrix(C), [0.2, 0.3, 0.5], [0.6, 0.4])
+
+
+def shortlist_lp(m, n, seed, tied, k):
+    """A shortlist LP as `_lp_plan` builds it: random non-uniform marginals
+    (the column sums matched to the row sums), random or tied integer costs,
+    and each row's and column's k cheapest arcs with the northwest corner."""
+    rng = np.random.default_rng(seed)
+    cost = rng.integers(0, 4, (m, n)).astype(float) if tied else rng.random((m, n))
+    a, b = rng.random(m) + 0.05, rng.random(n) + 0.05
+    a /= a.sum()
+    b *= a.sum() / b.sum()
+    keep = transport._cheapest(cost, k)
+    keep[transport._northwest_corner(a, b)] = True
+    return cost, a, b, keep
+
+
+def support_of(cost, a, b, ii, jj):
+    """HiGHS's solution on arcs (ii, jj): the arcs it ships mass on, that
+    mass and the duals."""
+    m = len(a)
+    x, y = transport._highs_solve(cost[ii, jj], np.column_stack([ii, m + jj]).ravel(),
+                                  np.concatenate([a, b]))
+    return ii[x > 0], jj[x > 0], x[x > 0], y
+
+
+class TestForestFlow:
+    """`_forest_flow`, the masses `_lp_plan` puts on HiGHS's support."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2 ** 32 - 1),
+           st.booleans(), st.integers(1, 4))
+    @example(48, 40, 23, True, 16)
+    def test_meets_marginals_and_matches_highs(self, m, n, seed, tied, k):
+        cost, a, b, keep = shortlist_lp(m, n, seed, tied, k)
+        i, j, x, _ = support_of(cost, a, b, *np.nonzero(keep))
+        mass = transport._forest_flow(i, j, a, b)
+        assert np.max(np.abs(np.bincount(i, weights=mass, minlength=m) - a)) <= 1e-15
+        assert np.max(np.abs(np.bincount(j, weights=mass, minlength=n) - b)) <= 1e-15
+        assert np.max(np.abs(mass - x)) <= 1e-15
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2 ** 32 - 1),
+           st.booleans(), st.integers(1, 4))
+    def test_bits_depend_on_the_support_alone(self, m, n, seed, tied, k):
+        # a longer shortlist, in another order, ends on the same support by
+        # another pivot path: the warm and cold paths of `_lp_plan`
+        cost, a, b, keep = shortlist_lp(m, n, seed, tied, k)
+        i, j, _, y = support_of(cost, a, b, *np.nonzero(keep))
+        mass = transport._forest_flow(i, j, a, b)
+        rng = np.random.default_rng(seed + 1)
+        order = rng.permutation(len(i))
+        assert transport._forest_flow(i[order], j[order], a, b).tobytes() == mass[order].tobytes()
+        # arcs pricing above 0 under y leave the optimal face unchanged
+        priced = cost - y[:m, None] - y[None, m:] > 1e-6
+        extra = ~keep & priced & (rng.random((m, n)) < 0.5)
+        ii, jj = np.nonzero(keep | extra)
+        order = rng.permutation(len(ii))
+        i2, j2, _, _ = support_of(cost, a, b, ii[order], jj[order])
+        if not tied:  # random costs have one optimal vertex
+            assert sorted(zip(i2, j2)) == sorted(zip(i, j))
+        if sorted(zip(i2, j2)) == sorted(zip(i, j)):
+            by_arc = dict(zip(zip(i2, j2), transport._forest_flow(i2, j2, a, b)))
+            assert np.array([by_arc[arc] for arc in zip(i, j)]).tobytes() == mass.tobytes()
+
+    def test_lp_plan_masses_are_the_support_flow(self):
+        cost, a, b, _ = shortlist_lp(30, 20, 5, False, 4)
+        i, j, mass, _ = transport._lp_plan(cost, a, b)
+        assert mass.tobytes() == transport._forest_flow(i, j, a, b).tobytes()
+
+    @pytest.mark.parametrize("i, j", [([0, 0, 1, 1], [0, 1, 0, 1]),
+                                      ([0, 1, 1, 2, 2, 0, 3], [0, 0, 1, 1, 2, 2, 3])],
+                             ids=["square", "hexagon-and-arc"])
+    def test_cycle_raises(self, i, j):
+        m, n = max(i) + 1, max(j) + 1
+        with pytest.raises(RuntimeError, match="not a forest"):
+            transport._forest_flow(np.array(i), np.array(j), np.full(m, 1 / m), np.full(n, 1 / n))
+
+    def test_cyclic_support_from_highs_raises(self, monkeypatch):
+        # the 2 x 2 LP with every arc at mass 1/4: its support is a cycle
+        def cyclic(c, rows, rhs, solve=transport._highs_solve):
+            x, y = solve(c, rows, rhs)
+            return np.full(len(c), 0.25), y
+
+        monkeypatch.setattr(transport, "_highs_solve", cyclic)
+        with pytest.raises(RuntimeError, match="not a forest"):
+            solve_exact(CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])), [0.4, 0.6], [0.5, 0.5])
 
 
 class TestNonFiniteCost:
@@ -615,6 +701,13 @@ class TestSinkhorn:
         with pytest.raises(SinkhornError) as ei:
             solve_sinkhorn(C, w, w, epsilon=1e-4)
         assert ei.value.violation > 0
+
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        C = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            solve_sinkhorn(C, [0.5, 0.5], [0.5, 0.5], epsilon)
 
     def test_regularized_cost_reported(self):
         rng = np.random.default_rng(14)
