@@ -4,21 +4,23 @@
     heis distance '[0,0,0]' '[0,0,1]'
     heis geodesic '[1,0]' 3.14 --samples 8
     heis transport --config cfg.json
-    heis verify-cd --config cfg.json --output out.csv --format csv
+    heis verify-cd --config cfg.json --output out.csv
     heis verify-bmi --s 0:1:0.25 --config cfg.json
     heis dilate-check --target bmi --lam 2,4 --config cfg.json
     heis step-limit --depths 0,1,2,3 --config cfg.json
 
 Configs are JSON (see ExperimentConfig), one file for every command; each
-command takes only the flags it reads.
-Exit status: 0 when every reported inequality holds or is inconclusive,
-2 when any fails (or a dilation check is inconsistent), 1 on usage errors.
+command takes only the flags it reads.  A report --output is CSV if its name
+ends in .csv, else JSON.  Pair kernels use every CPU the process may run on.
+Exit status: 0 when every reported inequality holds or is inconclusive, 2 when any
+fails (or a dilation check is inconsistent), 1 on usage errors or a Sinkhorn failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -26,9 +28,9 @@ import numpy as np
 
 from . import geodesy
 from .distortion import tau, tau_tilde
-from .geodesy import GeodesicParam, gamma, set_max_workers
+from .geodesy import GeodesicParam, gamma
 from .measures import BoxRegion, Region, region_from_json
-from .transport import cost_matrix, solve_exact, solve_sinkhorn
+from .transport import SinkhornError, cost_matrix, solve_exact, solve_sinkhorn
 from .verify import (
     GridFunction,
     InequalityReport,
@@ -59,7 +61,6 @@ class ExperimentConfig:
     r: float = 0.05
     solver: str = "exact"
     output: str | None = None
-    format: str = "json"
 
     def to_json(self) -> dict:
         return {"n": self.n, **asdict(self)}
@@ -112,23 +113,26 @@ def _parse_s_values(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",")]
 
 
-def _parse_solver(spec: str):
-    if spec == "exact":
-        return "exact", None
-    if spec.startswith("sinkhorn"):
-        eps = None
-        if "(" in spec:
-            eps = float(spec[spec.index("(") + 1:spec.rindex(")")])
-        return "sinkhorn", eps
-    raise SystemExit(f"unknown solver {spec!r}")
+def _parse_solver(spec) -> float | None:
+    """The epsilon of 'sinkhorn(eps)', None for 'exact' and 'sinkhorn' (see _load_config)."""
+    if spec in ("exact", "sinkhorn"):
+        return None
+    try:
+        eps = float(re.fullmatch(r"sinkhorn\((.*)\)", spec)[1])
+    except (TypeError, ValueError):  # no match, or no number between the parentheses
+        raise ValueError("solver must be 'exact', 'sinkhorn' or 'sinkhorn(eps)' with eps "
+                         f"positive and finite, got {spec!r}") from None
+    if not 0 < eps < np.inf:
+        raise ValueError(f"solver {spec!r}: epsilon must be positive and finite, got {eps}")
+    return eps
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args) -> tuple[ExperimentConfig, float | None]:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_json(json.load(fh))
-    for name in ("N", "seed", "h", "r", "solver", "output", "format"):
+    for name in ("N", "seed", "h", "r", "solver", "output"):
         v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, name, v)
@@ -136,10 +140,13 @@ def _load_config(args) -> ExperimentConfig:
         cfg.s_values = _parse_s_values(args.s)
     if "s" in vars(args) and not cfg.s_values:
         raise ValueError(f"{args.command} needs at least one s value")
+    if "s" in vars(args) and not all(0.0 <= s <= 1.0 for s in cfg.s_values):
+        raise ValueError(f"s must be in [0, 1], got {cfg.s_values}")
+    epsilon = _parse_solver(cfg.solver)
     if cfg.solver != "exact" and args.command != "transport":
         raise ValueError(f"{args.command} runs exact plans only; solver {cfg.solver!r} "
                          "is accepted by 'heis transport' alone")
-    return cfg
+    return cfg, epsilon
 
 
 def _emit(reports: list[InequalityReport], cfg: ExperimentConfig):
@@ -147,7 +154,7 @@ def _emit(reports: list[InequalityReport], cfg: ExperimentConfig):
         print(f"{rep.name} s={rep.s:g}: lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} "
               f"margin={rep.margin:.6g} +-{rep.mc_stderr:.3g} -> {rep.holds}")
     if cfg.output:
-        if cfg.format == "csv":
+        if cfg.output.endswith(".csv"):
             lines = [InequalityReport.CSV_HEADER]
             lines += [rep.csv_row() for rep in reports]
             payload = "\n".join(lines) + "\n"
@@ -207,13 +214,12 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    cfg = _load_config(args)
+    cfg, eps = _load_config(args)
     if args.dry_run:
         return _dry_run(cfg, args)
-    method, eps = _parse_solver(cfg.solver)
     mu, nu = sampled_measures(cfg.region_a(), cfg.region_b(), cfg.N, cfg.seed)
     C = cost_matrix(mu, nu)
-    if method == "exact":
+    if cfg.solver == "exact":
         plan = solve_exact(C, mu.weights, nu.weights)
     else:
         eps = eps if eps is not None else 0.05 * float(np.median(C.cost))
@@ -231,15 +237,12 @@ def _run_verifier(target: str, cfg: ExperimentConfig, A: Region, B: Region,
                   h: float, r: float) -> list[InequalityReport]:
     if target == "cd":
         return verify_cd_sweep(A, B, cfg.s_values, cfg.N, cfg.seed, h)
-    if target == "bmi":
-        return verify_bmi_sweep(A, B, cfg.s_values, cfg.N, cfg.seed, r, h)
-    if target == "sbmi":
-        return verify_sbmi_sweep(A, B, cfg.s_values, cfg.N, cfg.seed, r, h)
-    raise SystemExit(f"unknown verifier {target!r}")
+    sweep = {"bmi": verify_bmi_sweep, "sbmi": verify_sbmi_sweep}[target]
+    return sweep(A, B, cfg.s_values, cfg.N, cfg.seed, r, h)
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     if args.dry_run:
         return _dry_run(cfg, args, {"verifier": args.target})
     reports = _run_verifier(args.target, cfg, cfg.region_a(), cfg.region_b(), cfg.h, cfg.r)
@@ -248,7 +251,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_bbl(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     if args.dry_run:
         return _dry_run(cfg, args, {"p": args.p, "pairing": args.pairing})
     A, B, n = cfg.region_a(), cfg.region_b(), cfg.n
@@ -257,7 +260,6 @@ def _cmd_verify_bbl(args) -> int:
     box = BoxRegion(np.stack([np.minimum(hull_a[:, 0], hull_b[:, 0]),
                               np.maximum(hull_a[:, 1], hull_b[:, 1])], axis=1))
     shape = tuple([args.cells] * (2 * n + 1))
-    p = float("inf") if args.p == "inf" else float(args.p)
     reports = []
     for s in cfg.s_values:
         c1 = tau_tilde(n, 1.0 - s, 0.0) ** (2 * n + 1)
@@ -265,14 +267,14 @@ def _cmd_verify_bbl(args) -> int:
         f = GridFunction.indicator(A, box, shape, scale=c1)
         g = GridFunction.indicator(B, box, shape, scale=c2)
         h_fn = GridFunction.indicator(box, box, shape, scale=1.0)
-        reports.append(verify_bbl(f, g, h_fn, s=s, p=p, seed=cfg.seed,
+        reports.append(verify_bbl(f, g, h_fn, s=s, p=args.p, seed=cfg.seed,
                                   pairing=args.pairing))
     _emit(reports, cfg)
     return _exit_code(reports)
 
 
 def _cmd_step_limit(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     if args.s and len(cfg.s_values) > 1:
         raise ValueError(f"step-limit runs at one s; --s {args.s} gives {len(cfg.s_values)}")
     depths = [int(v) for v in args.depths.split(",")]
@@ -295,7 +297,7 @@ def _cmd_step_limit(args) -> int:
 
 
 def _cmd_dilate_check(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     lams = [float(v) for v in args.lam.split(",")]
     if args.dry_run:
         return _dry_run(cfg, args, {"lambdas": lams, "verifier": args.target})
@@ -319,10 +321,9 @@ def _cmd_dilate_check(args) -> int:
 _FLAGS = {"config": {"help": "JSON ExperimentConfig file"}, "N": {"type": int},
           "seed": {"type": int}, "h": {"type": float}, "r": {"type": float},
           "s": {"help": "s values: '0.25,0.5' or '0:1:0.25'"},
-          "solver": {"help": "'exact' or 'sinkhorn(eps)'"}, "output": {},
-          "format": {"choices": ("json", "csv")}, "threads": {"type": int, "default": 1},
+          "solver": {"help": "'exact', 'sinkhorn' or 'sinkhorn(eps)'"}, "output": {},
           "dry-run": {"action": "store_true"}}
-_SWEEP_FLAGS = "config N seed h r s output format threads dry-run"
+_SWEEP_FLAGS = "config N seed h r s output dry-run"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,29 +356,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("transport", help="solve transport between A and B")
-    common(p, "config N seed solver output threads dry-run")
+    common(p, "config N seed solver output dry-run")
     p.set_defaults(func=_cmd_transport)
 
-    for name, flags in (("verify-cd", "config N seed h s output format threads dry-run"),
+    for name, flags in (("verify-cd", "config N seed h s output dry-run"),
                         ("verify-bmi", _SWEEP_FLAGS), ("verify-sbmi", _SWEEP_FLAGS)):
         p = sub.add_parser(name, help=f"sweep s for the {name[7:].upper()} verifier")
         common(p, flags)
         p.set_defaults(func=_cmd_verify, target=name[7:])
 
     p = sub.add_parser("verify-bbl", help="Borell-Brascamp-Lieb on indicator grids")
-    common(p, "config seed s output format dry-run")
-    p.add_argument("--p", default="inf")
+    common(p, "config seed s output dry-run")
+    p.add_argument("--p", type=float, default="inf")
     p.add_argument("--pairing", choices=("independent", "diagonal"), default="diagonal")
     p.add_argument("--cells", type=int, default=16)
     p.set_defaults(func=_cmd_verify_bbl)
 
     p = sub.add_parser("step-limit", help="step-measure approximation experiment")
-    common(p, "config N seed s output threads dry-run")
+    common(p, "config N seed s output dry-run")
     p.add_argument("--depths", default="0,1,2,3,4,5")
     p.set_defaults(func=_cmd_step_limit)
 
     p = sub.add_parser("dilate-check", help="dilation-invariance consistency check")
-    common(p, "config N seed h r s threads dry-run")
+    common(p, "config N seed h r s dry-run")
     p.add_argument("--target", choices=("bmi", "sbmi"), default="bmi")
     p.add_argument("--lam", default="2,4")
     p.set_defaults(func=_cmd_dilate_check)
@@ -388,10 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "threads" in vars(args):
-            set_max_workers(args.threads)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, json.JSONDecodeError, SinkhornError) as err:
         print(f"heis: error: {err}", file=sys.stderr)
         return 1
 

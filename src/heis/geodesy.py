@@ -41,6 +41,7 @@ theta(x, y) is the corresponding |theta|.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,7 +75,7 @@ CENTER_TOL = 1e-10
 # temporaries stay in a core's L2 cache
 _CHUNK = 1 << 15
 
-_max_workers = 1
+_max_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 class NonUniqueGeodesic(ValueError):
@@ -82,8 +83,8 @@ class NonUniqueGeodesic(ValueError):
 
 
 def set_max_workers(k: int):
-    """Cap worker threads for the bulk pair kernels (results are identical
-    for any worker count; block boundaries are fixed)."""
+    """Set the worker threads of the bulk pair kernels, by default the CPUs the
+    process may run on (results are identical for any count: fixed blocks)."""
     global _max_workers
     if k < 1:
         raise ValueError(f"worker count must be >= 1, got {k}")
@@ -503,7 +504,7 @@ def _for_row_blocks(work, n_rows, n_cols):
         work(start, min(start + rows, n_rows))
 
     if _max_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(_max_workers, len(starts))) as pool:
             list(pool.map(block, starts))
     else:
         for start in starts:

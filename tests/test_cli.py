@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from heis import geodesy, transport
 from heis.cli import ExperimentConfig, _parse_s_values, main
 
 
@@ -47,6 +48,10 @@ class TestConfig:
         ({"seeds": 3}, "unknown config keys: seeds"),
         ({"threads": 4}, "unknown config keys: threads"),
         ({"s_values": []}, "needs at least one s value"),
+        ({"format": "csv"}, "unknown config keys: format"),
+        ({"s_values": [0.5, 2.0]}, "s must be in [0, 1], got [0.5, 2.0]"),
+        ({"s_values": [float("nan")]}, "s must be in [0, 1], got [nan]"),
+        ({"solver": "bogus"}, "solver must be 'exact', 'sinkhorn' or 'sinkhorn(eps)'"),
     ])
     def test_bad_config_rejected(self, data, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -111,6 +116,9 @@ class TestSimpleCommands:
         assert run_cli("distance", "[0,0", "[0,0,0]") == 1
 
 
+_SOLVER_FORMS = "solver must be 'exact', 'sinkhorn' or 'sinkhorn(eps)' with eps positive and finite"
+
+
 class TestVerifyCommands:
     def test_verify_cd_runs(self, tmp_path, capsys):
         out = tmp_path / "cd.json"
@@ -125,7 +133,7 @@ class TestVerifyCommands:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         argv = ["verify-bmi", "--N", "80", "--h", "0.1", "--r", "0.1",
-                "--s", "0.5", "--format", "csv"]
+                "--s", "0.5"]
         assert run_cli(*argv, "--output", str(out1)) == 0
         assert run_cli(*argv, "--output", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -139,7 +147,7 @@ class TestVerifyCommands:
         assert blob["verifier"] == "cd"
 
     @pytest.mark.parametrize("command, shown", [
-        ("verify-bbl", "n A B s_values seed output format p pairing"),
+        ("verify-bbl", "n A B s_values seed output p pairing"),
         ("transport", "n A B N seed solver output"),
     ])
     def test_dry_run_shows_only_the_fields_the_command_reads(self, command, shown, capsys):
@@ -193,18 +201,23 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command, flags in (
-            ("transport", "--h --r --s --format"),
-            ("verify-cd", "--r --solver"),
-            ("verify-bmi", "--solver"),
-            ("verify-sbmi", "--solver"),
-            ("verify-bbl", "--N --h --r --threads --solver"),
-            ("step-limit", "--h --r --format --solver"),
-            ("dilate-check", "--output --format --solver"),
+            ("transport", "--h --r --s --format --threads"),
+            ("verify-cd", "--r --solver --format --threads"),
+            ("verify-bmi", "--solver --format --threads"),
+            ("verify-sbmi", "--solver --format --threads"),
+            ("verify-bbl", "--N --h --r --threads --solver --format"),
+            ("step-limit", "--h --r --format --solver --threads"),
+            ("dilate-check", "--output --format --solver --threads"),
+            ("tau 1 0.5 0", "--format --threads"),
+            ("distance [0,0,0] [0,0,1]", "--format --threads"),
+            ("geodesic [1,0] 3.14", "--format --threads"),
         ) for flag in flags.split()])
     def test_flag_the_command_does_not_read_is_usage_error(self, command, flag, capsys):
+        # the worker count is the CPUs the process may run on, and the report
+        # format is named by --output, so no command takes --threads or --format
         value = {"--format": "json", "--solver": "exact", "--output": "out.json"}.get(flag, "1")
         with pytest.raises(SystemExit) as ei:
-            run_cli(command, flag, value, "--dry-run")
+            run_cli(*command.split(), flag, value, "--dry-run")
         assert ei.value.code == 1
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
@@ -263,17 +276,80 @@ class TestVerifyCommands:
         (["step-limit", "--s", "0.25,0.75", "--depths", "0"], "step-limit runs at one s"),
         (["step-limit", "--s", "0:1:0.5", "--dry-run"], "--s 0:1:0.5 gives 3"),
         (["verify-bbl", "--p", "nan", "--cells", "4"], "p must be >= -1/(2n+1)"),
-        (["step-limit", "--threads", "0", "--N", "4", "--depths", "0"],
-         "worker count must be >= 1, got 0"),
-        (["transport", "--threads", "-1", "--N", "4"], "worker count must be >= 1, got -1"),
-        (["verify-cd", "--threads", "0", "--dry-run"], "worker count must be >= 1, got 0"),
+        (["verify-cd", "--s", "nan", "--dry-run"], "s must be in [0, 1], got [nan]"),
+        (["verify-bmi", "--N", "2000", "--s", "1.5"], "s must be in [0, 1], got [1.5]"),
+        (["transport", "--N", "4", "--solver", "sinkhornfoo"], _SOLVER_FORMS),
         (["transport", "--N", "3", "--solver", "sinkhorn(inf)"],
          "epsilon must be positive and finite, got inf"),
+        (["transport", "--N", "4", "--solver", "sinkhorn(0.1"], _SOLVER_FORMS),
+        (["transport", "--solver", "bogus", "--dry-run"], _SOLVER_FORMS),
+        (["transport", "--N", "4", "--solver", "bogus"], _SOLVER_FORMS),
+        (["transport", "--solver", "sinkhorn(-1)", "--dry-run"],
+         "solver 'sinkhorn(-1)': epsilon must be positive and finite, got -1.0"),
+        (["verify-sbmi", "--s", "0:1.5:0.5", "--dry-run"], "got [0.0, 0.5, 1.0, 1.5]"),
+        (["step-limit", "--s", "-0.25", "--dry-run"], "s must be in [0, 1], got [-0.25]"),
+        (["dilate-check", "--s", "inf", "--dry-run"], "s must be in [0, 1], got [inf]"),
+        (["verify-bbl", "--s", "nan", "--dry-run"], "s must be in [0, 1], got [nan]"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):
         assert run_cli(*argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_non_numeric_p_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:  # parsed with the flags, before --dry-run
+            run_cli("verify-bbl", "--p", "abc", "--dry-run")
+        assert ei.value.code == 1
+        assert "argument --p: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_sinkhorn_that_does_not_converge_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(transport, "_SINKHORN_MAX_ITER", 5)
+        assert run_cli("transport", "--N", "6", "--solver", "sinkhorn(1e-300)") == 1
+        assert capsys.readouterr().err.startswith(
+            "heis: error: sinkhorn did not reach tol=1e-08 in 5 iterations")
+
+    def test_defect_in_an_exact_plan_keeps_its_traceback(self, monkeypatch):
+        def cyclic(*args):
+            raise RuntimeError("LP plan support is not a forest")
+
+        monkeypatch.setattr("heis.cli.solve_exact", cyclic)
+        with pytest.raises(RuntimeError, match="not a forest"):
+            run_cli("transport", "--N", "4")
+
+    @pytest.mark.parametrize("name, csv", [
+        ("r.csv", True), ("r.json", False), ("r.txt", False), ("r", False),
+        ("r.csv.json", False), ("csv", False)])
+    def test_output_name_sets_the_format(self, name, csv, tmp_path, capsys):
+        out = tmp_path / name
+        assert run_cli("verify-bbl", "--s", "0.25,0.5", "--cells", "4",
+                       "--output", str(out)) == 0
+        text = out.read_text()
+        if csv:
+            assert text.splitlines()[0] == "name,s,lhs,rhs,margin,stderr,holds"
+            assert len(text.splitlines()) == 3
+        else:
+            assert [rep["s"] for rep in json.loads(text)] == [0.25, 0.5]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-bmi", "--N", "70", "--h", "0.1", "--r", "0.1", "--s", "0:1:0.25"],
+        ["verify-cd", "--N", "70", "--h", "0.1", "--s", "0.25,0.5"],
+        ["transport", "--N", "70"],
+    ])
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_reports_equal_at_default_and_one_worker(self, argv, suffix, tmp_path,
+                                                     monkeypatch, capsys):
+        # 1024-pair blocks: the 70 x 70 pair tables span five of them
+        monkeypatch.setattr(geodesy, "_CHUNK", 1 << 10)
+        workers = geodesy._max_workers
+        default = tmp_path / f"default{suffix}"
+        assert run_cli(*argv, "--output", str(default)) == 0
+        one = tmp_path / f"one{suffix}"
+        geodesy.set_max_workers(1)
+        try:
+            assert run_cli(*argv, "--output", str(one)) == 0
+        finally:
+            geodesy.set_max_workers(workers)
+        assert default.read_bytes() == one.read_bytes()
 
     def test_dilate_check_consistent(self, capsys):
         code = run_cli("dilate-check", "--target", "bmi", "--N", "60",

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -365,16 +367,31 @@ class TestPairTable:
         tab = pair_table(xs, xs)
         assert np.array_equal(np.diag(tab.dist), np.zeros(5))
 
+    def test_default_worker_count_is_the_cpus_the_process_may_run_on(self):
+        # in a fresh process, since tests set the count; narrowing the
+        # affinity before the import is what `taskset` does from outside
+        def probe(narrow=""):
+            code = (f"import os; {narrow}from heis import geodesy; "
+                    "print(geodesy._max_workers, len(os.sched_getaffinity(0)))")
+            return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, check=True).stdout.split()
+
+        workers, cpus = probe()
+        assert workers == cpus
+        assert probe("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); ") == ["1", "1"]
+
     def test_worker_count_invariance(self):
         rng = np.random.default_rng(18)
         xs = rand_points(rng, 40)
         ys = rand_points(rng, 30)
-        tab1 = pair_table(xs, ys)
-        geodesy.set_max_workers(4)
+        workers = geodesy._max_workers
+        geodesy.set_max_workers(1)
         try:
+            tab1 = pair_table(xs, ys)
+            geodesy.set_max_workers(4)
             tab2 = pair_table(xs, ys)
         finally:
-            geodesy.set_max_workers(1)
+            geodesy.set_max_workers(workers)
         assert np.array_equal(tab1.dist, tab2.dist)
         assert np.array_equal(tab1.theta, tab2.theta)
 
@@ -395,6 +412,7 @@ class TestPairTable:
         tab = pair_table(xs, ys)
         assert tab.dist[4, 3] == 0.0 and tab.unique[4, 3] and not tab.unique[9, 7]
         # 1 << 6 pairs are two rows of 23: most blocks hold neither special pair
+        default = geodesy._max_workers
         for chunk in (geodesy._CHUNK, 1 << 6):
             monkeypatch.setattr(geodesy, "_CHUNK", chunk)
             for workers in (1, 2):
@@ -402,7 +420,7 @@ class TestPairTable:
                 try:
                     assert table_bytes() == want, (chunk, workers)
                 finally:
-                    geodesy.set_max_workers(1)
+                    geodesy.set_max_workers(default)
 
     @pytest.mark.parametrize("N", [400, 800])
     def test_block_memory(self, N):

@@ -225,13 +225,13 @@ class TestSolveExact:
         wa, wb = rng.random(60) + 0.5, rng.random(45) + 0.5
         src = measure(cloud(rng, 60), wa / wa.sum())
         tgt = measure(cloud(rng, 45, shift=0.5), wb / wb.sum())
-        plans = []
+        plans, default = [], geodesy._max_workers
         for workers in (1, 1, 2):
             geodesy.set_max_workers(workers)
             try:
                 plans.append(solve_exact(cost_matrix(src, tgt), src.weights, tgt.weights))
             finally:
-                geodesy.set_max_workers(1)
+                geodesy.set_max_workers(default)
         for plan in plans[1:]:
             for field in ("i", "j", "mass"):
                 assert getattr(plan, field).tobytes() == getattr(plans[0], field).tobytes()
