@@ -30,7 +30,7 @@ __all__ = [
 
 def dim_to_n(coords) -> int:
     """n from a coordinate array of length 2n+1."""
-    d = np.shape(coords)[-1]
+    d = np.shape(coords)[-1] if np.ndim(coords) else 0
     if d < 3 or d % 2 == 0:
         raise ValueError(f"coordinate length must be odd and >= 3, got {d}")
     return (d - 1) // 2

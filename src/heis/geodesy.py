@@ -100,7 +100,9 @@ class GeodesicParam:
 
     def __post_init__(self):
         chi = np.atleast_1d(np.asarray(self.chi, dtype=complex))
-        if abs(self.theta) > TWO_PI + 1e-15:
+        if not np.all(np.isfinite(chi)):
+            raise ValueError(f"chi must be finite, got {chi}")
+        if not abs(self.theta) <= TWO_PI + 1e-15:  # NaN fails too
             raise ValueError(f"|theta| must be <= 2*pi, got {self.theta}")
         object.__setattr__(self, "chi", chi)
 

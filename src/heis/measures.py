@@ -300,15 +300,36 @@ def _unit_ball_volume(n: int) -> float:
     return _UNIT_BALL_VOLUMES[n]
 
 
+_REGION_KEYS = {"box": ("intervals",), "cc_ball": ("center", "radius"), "union": ("members",)}
+
+
 def region_from_json(data: dict) -> Region:
+    """The region of a JSON object (see Region); a malformed one is a
+    ValueError naming the field."""
+    if type(data) is not dict:
+        raise ValueError(f"a region must be a JSON object, got {data!r}")
     kind = data.get("kind")
+    if kind not in ("box", "cc_ball", "union"):  # not the dict: a list kind is unhashable
+        raise ValueError(f"unknown region kind: {kind!r}")
+    for key in _REGION_KEYS[kind]:
+        if key not in data:
+            raise ValueError(f"{kind} region lacks {key!r}")
     if kind == "box":
-        return BoxRegion(np.asarray(data["intervals"], dtype=float))
+        return BoxRegion(_floats(data, "intervals"))
     if kind == "cc_ball":
-        return CCBallRegion(np.asarray(data["center"], dtype=float), float(data["radius"]))
-    if kind == "union":
-        return UnionRegion(tuple(region_from_json(m) for m in data["members"]))
-    raise ValueError(f"unknown region kind: {kind!r}")
+        if type(data["radius"]) not in (int, float):
+            raise ValueError(f"ball radius must be a number, got {data['radius']!r}")
+        return CCBallRegion(_floats(data, "center"), float(data["radius"]))
+    if type(data["members"]) is not list or not data["members"]:
+        raise ValueError(f"union members must be a non-empty list, got {data['members']!r}")
+    return UnionRegion(tuple(region_from_json(m) for m in data["members"]))
+
+
+def _floats(data: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError):  # a ragged list, or a value that is not a number
+        raise ValueError(f"{data['kind']} {key} must be numbers, got {data[key]!r}") from None
 
 
 # ---------------------------------------------------------------------------

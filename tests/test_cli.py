@@ -1,16 +1,27 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heis import geodesy, transport
-from heis.cli import ExperimentConfig, _parse_s_values, main
+from heis.cli import ExperimentConfig, _parse_s_values, build_parser, main
 
 
 def run_cli(*argv, env_seed=None, capsys=None):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """main's status, also when argparse stops it with SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as stop:
+        return stop.code
 
 
 class TestConfig:
@@ -47,10 +58,7 @@ class TestConfig:
     @pytest.mark.parametrize("data, message", [
         ({"seeds": 3}, "unknown config keys: seeds"),
         ({"threads": 4}, "unknown config keys: threads"),
-        ({"s_values": []}, "needs at least one s value"),
         ({"format": "csv"}, "unknown config keys: format"),
-        ({"s_values": [0.5, 2.0]}, "s must be in [0, 1], got [0.5, 2.0]"),
-        ({"s_values": [float("nan")]}, "s must be in [0, 1], got [nan]"),
         ({"solver": "bogus"}, "solver must be 'exact', 'sinkhorn' or 'sinkhorn(eps)'"),
     ])
     def test_bad_config_rejected(self, data, message, tmp_path, capsys):
@@ -107,16 +115,6 @@ class TestSimpleCommands:
             run_cli("tau", "one", "0.5", "0")
         assert ei.value.code == 1
 
-    @pytest.mark.parametrize("args", [("1", "nan", "0"), ("1", "0.5", "nan")])
-    def test_tau_nan_is_usage_error(self, args, capsys):
-        assert run_cli("tau", *args) == 1
-        assert "must lie in" in capsys.readouterr().err
-
-    def test_bad_json_point_is_usage_error(self):
-        assert run_cli("distance", "[0,0", "[0,0,0]") == 1
-
-
-_SOLVER_FORMS = "solver must be 'exact', 'sinkhorn' or 'sinkhorn(eps)' with eps positive and finite"
 
 
 class TestVerifyCommands:
@@ -144,15 +142,27 @@ class TestVerifyCommands:
         assert run_cli("verify-cd", "--N", "42", "--dry-run") == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["N"] == 42
-        assert blob["verifier"] == "cd"
+        assert blob["target"] == "cd"
 
     @pytest.mark.parametrize("command, shown", [
-        ("verify-bbl", "n A B s_values seed output p pairing"),
-        ("transport", "n A B N seed solver output"),
+        ("verify-bbl", "command n A B s_values seed output p pairing cells"),
+        ("transport", "command n A B N seed solver output"),
+        ("step-limit", "command n A B s_values N seed output depths"),
+        ("dilate-check", "command n A B s_values N seed h r target lam"),
+        ("tau 1 0.5 0", "command n s theta"),
+        ("geodesic [1,0,0.5,2] 3", "command chi theta samples"),
     ])
     def test_dry_run_shows_only_the_fields_the_command_reads(self, command, shown, capsys):
-        assert run_cli(command, "--dry-run") == 0
+        assert run_cli(*command.split(), "--dry-run") == 0
         assert list(json.loads(capsys.readouterr().out)) == shown.split()
+
+    def test_dry_run_shows_parsed_values(self, capsys):
+        assert run_cli("geodesic", "[1,0,0.5,2]", "3", "--dry-run") == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["chi"] == [1.0, 0.0, 0.5, 2.0] and blob["theta"] == 3.0
+        assert run_cli("dilate-check", "--lam", "2,4", "--s", "0:1:0.5", "--dry-run") == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["lam"] == [2.0, 4.0] and blob["s_values"] == [0.0, 0.5, 1.0]
 
     def test_config_file_and_env_seed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -259,49 +269,6 @@ class TestVerifyCommands:
                        *flags) == 0
         assert f"step-limit at s={s}\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv, message", [
-        (["transport", "--N", "0"], "N must be at least 1, got 0"),
-        (["step-limit", "--N", "0", "--depths", "0"], "N must be at least 1, got 0"),
-        (["verify-cd", "--s", "0:1:0"], "s range '0:1:0' has step 0"),
-        (["verify-bmi", "--s", "1:0:0.25"], "needs at least one s value"),
-        (["step-limit", "--s", "1:0:0.25"], "needs at least one s value"),
-        (["geodesic", "[1,0]", "3.14", "--samples", "0"], "--samples must be at least 1"),
-        (["verify-bbl", "--cells", "0"], "grid must have at least one cell"),
-        (["verify-bbl", "--cells", "-2"], "got shape (-2, -2, -2)"),
-        (["verify-bmi", "--N", "20", "--s", "0.5", "--r", "nan"], "got r=nan, h=0.1"),
-        (["verify-bmi", "--N", "20", "--s", "0.5", "--r", "inf"], "got r=inf, h=0.1"),
-        (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "nan"], "got r=0.05, h=nan"),
-        (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "inf"], "got r=0.05, h=inf"),
-        (["verify-sbmi", "--N", "20", "--s", "0.5", "--r", "nan"], "got r=nan, h=0.1"),
-        (["step-limit", "--s", "0.25,0.75", "--depths", "0"], "step-limit runs at one s"),
-        (["step-limit", "--s", "0:1:0.5", "--dry-run"], "--s 0:1:0.5 gives 3"),
-        (["verify-bbl", "--p", "nan", "--cells", "4"], "p must be >= -1/(2n+1)"),
-        (["verify-cd", "--s", "nan", "--dry-run"], "s must be in [0, 1], got [nan]"),
-        (["verify-bmi", "--N", "2000", "--s", "1.5"], "s must be in [0, 1], got [1.5]"),
-        (["transport", "--N", "4", "--solver", "sinkhornfoo"], _SOLVER_FORMS),
-        (["transport", "--N", "3", "--solver", "sinkhorn(inf)"],
-         "epsilon must be positive and finite, got inf"),
-        (["transport", "--N", "4", "--solver", "sinkhorn(0.1"], _SOLVER_FORMS),
-        (["transport", "--solver", "bogus", "--dry-run"], _SOLVER_FORMS),
-        (["transport", "--N", "4", "--solver", "bogus"], _SOLVER_FORMS),
-        (["transport", "--solver", "sinkhorn(-1)", "--dry-run"],
-         "solver 'sinkhorn(-1)': epsilon must be positive and finite, got -1.0"),
-        (["verify-sbmi", "--s", "0:1.5:0.5", "--dry-run"], "got [0.0, 0.5, 1.0, 1.5]"),
-        (["step-limit", "--s", "-0.25", "--dry-run"], "s must be in [0, 1], got [-0.25]"),
-        (["dilate-check", "--s", "inf", "--dry-run"], "s must be in [0, 1], got [inf]"),
-        (["verify-bbl", "--s", "nan", "--dry-run"], "s must be in [0, 1], got [nan]"),
-    ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_bad_numeric_input_is_usage_error(self, argv, message, capsys):
-        assert run_cli(*argv) == 1
-        assert message in capsys.readouterr().err
-
-    def test_non_numeric_p_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as ei:  # parsed with the flags, before --dry-run
-            run_cli("verify-bbl", "--p", "abc", "--dry-run")
-        assert ei.value.code == 1
-        assert "argument --p: invalid float value: 'abc'" in capsys.readouterr().err
-
     def test_sinkhorn_that_does_not_converge_is_an_error(self, monkeypatch, capsys):
         monkeypatch.setattr(transport, "_SINKHORN_MAX_ITER", 5)
         assert run_cli("transport", "--N", "6", "--solver", "sinkhorn(1e-300)") == 1
@@ -356,6 +323,133 @@ class TestVerifyCommands:
                        "--h", "0.1", "--r", "0.1", "--s", "0.5", "--lam", "2")
         assert code == 0
         assert "consistent" in capsys.readouterr().out
+
+
+_SOLVER_FORMS = "solver must be 'exact', 'sinkhorn' or 'sinkhorn(eps)' with eps positive and finite"
+_SHAPE = "must be an integer >= 1, got"
+_S = "argument --s: must be a number in [0, 1], got"
+_BIG = "must be an integer in [0, 2^64 - 2], got"
+
+# Bad values from a flag, a positional argument or a config key (None: no
+# --config).  Each exits 1, with and without --dry-run, and its message names
+# the flag, argument or key; a traceback would escape main as an exception.
+_BAD_VALUES = [
+    (["verify-cd", "--s", "abc"], None, "argument --s: could not convert string to float: 'abc'"),
+    (["dilate-check", "--lam", "abc"], None,
+     "argument --lam: could not convert string to float: 'abc'"),
+    (["step-limit", "--depths", "x"], None,
+     "argument --depths: invalid literal for int() with base 10: 'x'"),
+    (["verify-bbl", "--p", "abc"], None, "argument --p: could not convert string to float: 'abc'"),
+    (["transport", "--N", "0"], None, f"argument --N: {_SHAPE} 0"),
+    (["step-limit", "--N", "0", "--depths", "0"], None, f"argument --N: {_SHAPE} 0"),
+    (["verify-cd", "--h", "0"], None, "argument --h: must be a positive finite number, got 0.0"),
+    (["verify-bmi", "--r", "-1"], None, "argument --r: must be a finite number >= 0, got -1.0"),
+    (["verify-bbl", "--cells", "0"], None, f"argument --cells: {_SHAPE} 0"),
+    (["verify-bbl", "--cells", "-2"], None, f"argument --cells: {_SHAPE} -2"),
+    (["geodesic", "[1,0]", "3", "--samples", "0"], None, f"argument --samples: {_SHAPE} 0"),
+    (["dilate-check", "--lam", "0"], None, "argument --lam: must be a positive finite number, got 0.0"),
+    (["dilate-check", "--lam", "2,-2"], None,
+     "argument --lam: must be a positive finite number, got -2.0"),
+    (["step-limit", "--depths", "-1"], None, "argument --depths: must be an integer >= 0, got -1"),
+    (["verify-bmi", "--seed", "-1"], None, f"argument --seed: {_BIG} -1"),
+    (["verify-bmi", "--N", "20", "--s", "0.5", "--r", "nan"], None,
+     "argument --r: must be a finite number >= 0, got nan"),
+    (["verify-bmi", "--N", "20", "--s", "0.5", "--r", "inf"], None,
+     "argument --r: must be a finite number >= 0, got inf"),
+    (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "nan"], None,
+     "argument --h: must be a positive finite number, got nan"),
+    (["verify-bmi", "--N", "20", "--s", "0.5", "--h", "inf"], None,
+     "argument --h: must be a positive finite number, got inf"),
+    (["verify-sbmi", "--N", "20", "--s", "0.5", "--r", "nan"], None,
+     "argument --r: must be a finite number >= 0, got nan"),
+    (["verify-bbl", "--p", "nan", "--cells", "4"], None,
+     "argument --p: must be a number other than NaN, got nan"),
+    (["verify-cd", "--s", "0:1:0"], None, "argument --s: s range '0:1:0' has step 0"),
+    (["verify-bmi", "--s", "1:0:0.25"], None, "argument --s: must be a non-empty list, got []"),
+    (["step-limit", "--s", "1:0:0.25"], None, "argument --s: must be a non-empty list, got []"),
+    (["verify-cd", "--s", "nan"], None, f"{_S} nan"),
+    (["verify-bmi", "--N", "2000", "--s", "1.5"], None, f"{_S} 1.5"),
+    (["verify-sbmi", "--s", "0:1.5:0.5"], None, f"{_S} 1.5"),
+    (["step-limit", "--s", "-0.25"], None, f"{_S} -0.25"),
+    (["dilate-check", "--s", "inf"], None, f"{_S} inf"),
+    (["verify-bbl", "--s", "nan"], None, f"{_S} nan"),
+    (["step-limit", "--s", "0.25,0.75", "--depths", "0"], None,
+     "argument --s: step-limit runs at one s, got [0.25, 0.75]"),
+    (["step-limit", "--s", "0:1:0.5"], None,
+     "argument --s: step-limit runs at one s, got [0.0, 0.5, 1.0]"),
+    (["transport", "--N", "4", "--solver", "sinkhornfoo"], None, f"argument --solver: {_SOLVER_FORMS}"),
+    (["transport", "--N", "4", "--solver", "sinkhorn(0.1"], None,
+     f"argument --solver: {_SOLVER_FORMS}"),
+    (["transport", "--N", "4", "--solver", "bogus"], None, f"argument --solver: {_SOLVER_FORMS}"),
+    (["transport", "--N", "3", "--solver", "sinkhorn(inf)"], None,
+     "argument --solver: solver 'sinkhorn(inf)': epsilon must be positive and finite, got inf"),
+    (["transport", "--solver", "sinkhorn(-1)"], None,
+     "argument --solver: solver 'sinkhorn(-1)': epsilon must be positive and finite, got -1.0"),
+    (["tau", "1", "nan", "0"], None, "argument s: must be a number in [0, 1], got nan"),
+    (["tau", "1", "0.5", "nan"], None, "argument theta: must be a number in [0, 2 pi], got nan"),
+    (["distance", "[0,0", "[0,0,0]"], None, "argument x: Expecting ',' delimiter"),
+    (["distance", "[[0,0,0]]", "[0,0,1]"], None,
+     "argument x: must be a finite number, got [0, 0, 0]"),
+    (["distance", "[0,0,0]", "[0,0]"], None,
+     "argument y: coordinate length must be odd and >= 3, got 2"),
+    (["geodesic", "[1]", "3"], None, "argument chi: must hold an even count of reals, got 1"),
+    (["geodesic", "[]", "3"], None, "argument chi: must be a non-empty list, got []"),
+    (["geodesic", "[[1,0]]", "3"], None, "argument chi: must be a finite number, got [1, 0]"),
+    (["geodesic", "[1,NaN]", "3"], None, "argument chi: must be a finite number, got nan"),
+    (["geodesic", "[1,0]", "nan"], None,
+     "argument theta: must be a number in [-2 pi, 2 pi], got nan"),
+    (["transport"], {"N": "5"}, f"config key 'N': {_SHAPE} '5'"),
+    (["transport"], {"N": 10.7}, f"config key 'N': {_SHAPE} 10.7"),
+    (["transport"], {"N": True}, f"config key 'N': {_SHAPE} True"),
+    (["verify-cd"], {"h": "0.1"}, "config key 'h': must be a positive finite number, got '0.1'"),
+    (["verify-bmi"], {"r": None}, "config key 'r': must be a finite number >= 0, got None"),
+    (["verify-cd"], {"s_values": ["a"]}, "config key 's_values': must be a number in [0, 1], got 'a'"),
+    (["verify-cd"], {"s_values": 0.5}, "config key 's_values': must be a non-empty list, got 0.5"),
+    (["verify-bmi"], {"s_values": []}, "config key 's_values': must be a non-empty list, got []"),
+    (["verify-bmi"], {"s_values": [0.5, 2.0]},
+     "config key 's_values': must be a number in [0, 1], got 2.0"),
+    (["verify-bmi"], {"s_values": [float("nan")]},
+     "config key 's_values': must be a number in [0, 1], got nan"),
+    (["verify-bmi"], {"seed": -1}, f"config key 'seed': {_BIG} -1"),
+    (["transport", "--N", "8", "--seed", "2"], {"seed": 1.5}, f"config key 'seed': {_BIG} 1.5"),
+    (["transport", "--N", "8"], {"output": 5}, "config key 'output': must be a file name or null, got 5"),
+    (["verify-bmi", "--N", "20", "--s", "0.5"], {"output": 5},
+     "config key 'output': must be a file name or null, got 5"),
+    (["verify-bmi"], {"A": {"kind": "box"}}, "config key 'A': box region lacks 'intervals'"),
+    (["verify-bmi"], {"B": {"kind": "cc_ball", "center": [0, 0, 0]}},
+     "config key 'B': cc_ball region lacks 'radius'"),
+    (["verify-bmi"], {"A": [1, 2]}, "config key 'A': a region must be a JSON object, got [1, 2]"),
+    (["verify-bmi"], {"A": {"kind": "union", "members": 3}},
+     "config key 'A': union members must be a non-empty list, got 3"),
+    (["verify-bmi"], [1, 2], "config must be a JSON object, got [1, 2]"),
+]
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("argv, config, message", _BAD_VALUES, ids=[
+    " ".join(argv) + ("" if config is None else f" {json.dumps(config)}")
+    for argv, config, _ in _BAD_VALUES])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bad_value_is_usage_error(argv, config, message, dry_run, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert exit_code(*argv, *["--dry-run"] * dry_run) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_readme_table_lists_each_commands_arguments():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| (`[^|]*`) \| `([^`]*)`", readme.read_text(), re.M)
+    table = {name: flags.split() for names, flags in rows for name in re.findall(r"`(.*?)`", names)}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: [(a.option_strings or [a.dest])[0] for a in p._actions
+                     if not isinstance(a, argparse._HelpAction)]
+              for name, p in commands.items()}
+    assert table == parsed
 
 
 class TestEntryPoint:

@@ -95,6 +95,13 @@ class TestGamma:
         with pytest.raises(ValueError):
             GeodesicParam(np.array([1.0 + 0j]), 7.0)
 
+    @pytest.mark.parametrize("chi, theta", [
+        ([1.0 + 0j], np.nan), ([1.0 + 0j], -np.inf),
+        ([complex(np.nan, 0)], 1.0), ([1.0, complex(0, np.inf)], 1.0)])
+    def test_non_finite_datum_rejected(self, chi, theta):
+        with pytest.raises(ValueError, match="theta|chi must be finite"):
+            GeodesicParam(np.array(chi), theta)
+
 
 class TestGammaInverse:
     def test_horizontal_point(self):

@@ -67,6 +67,26 @@ class TestRegions:
             back = region_from_json(reg.to_json())
             assert back.to_json() == reg.to_json()
 
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "a region must be a JSON object, got [1, 2]"),
+        ({"kind": "box"}, "box region lacks 'intervals'"),
+        ({"kind": "cc_ball", "center": [0, 0, 0]}, "cc_ball region lacks 'radius'"),
+        ({"kind": "cc_ball", "radius": 1}, "cc_ball region lacks 'center'"),
+        ({"kind": "cc_ball", "center": 5, "radius": 1}, "coordinate length must be odd"),
+        ({"kind": "cc_ball", "center": [0, 0, 0], "radius": None}, "radius must be a number"),
+        ({"kind": "box", "intervals": [[0, 1], [0]]}, "box intervals must be numbers"),
+        ({"kind": "union"}, "union region lacks 'members'"),
+        ({"kind": "union", "members": 3}, "union members must be a non-empty list, got 3"),
+        ({"kind": "union", "members": []}, "union members must be a non-empty list, got []"),
+        ({"kind": "union", "members": [{"kind": "box"}]}, "box region lacks 'intervals'"),
+        ({"kind": "disk"}, "unknown region kind: 'disk'"),
+        ({"kind": ["box"]}, "unknown region kind: ['box']"),
+    ])
+    def test_malformed_json_names_the_field(self, data, message):
+        with pytest.raises(ValueError) as err:
+            region_from_json(data)
+        assert message in str(err.value)
+
     def test_union_rejects_overlap(self):
         with pytest.raises(ValueError):
             UnionRegion((BoxRegion.unit(1), BoxRegion.shifted([0.5, 0.0, 0.0])))
