@@ -226,8 +226,7 @@ def _flag(read, parse):
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The --config file, each flag overriding its field, and the two checks
-    that depend on the command."""
+    """The --config file, each flag overriding its field."""
     cfg = ExperimentConfig()
     if args.config:
         with open(args.config) as fh:
@@ -235,12 +234,25 @@ def _load_config(args) -> ExperimentConfig:
     for name in _FIELDS:
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
-    if cfg.solver != "exact" and args.command != "transport":
+    return cfg
+
+
+def _check_command(args, cfg: ExperimentConfig | None):
+    """The checks that depend on the command, which a dry run makes too."""
+    if cfg is not None and cfg.solver != "exact" and args.command != "transport":
         raise ValueError(f"config key 'solver': {args.command} runs exact plans only; "
                          f"solver {cfg.solver!r} is accepted by 'heis transport' alone")
     if args.command == "step-limit" and len(args.s_values or ()) > 1:
         raise ValueError(f"argument --s: step-limit runs at one s, got {args.s_values}")
-    return cfg
+    if args.command == "verify-bbl" and not all(0 < s < 1 for s in cfg.s_values):
+        where = "config key 's_values'" if args.s_values is None else "argument --s"
+        raise ValueError(f"{where}: verify-bbl needs every s strictly inside (0, 1), "
+                         f"got {cfg.s_values}")
+    if args.command == "verify-bbl" and not args.p >= -1.0 / (2 * cfg.n + 1):
+        raise ValueError(f"argument --p: must be >= -1/(2n+1) = {-1 / (2 * cfg.n + 1):g}, "
+                         f"got {args.p}")
+    if args.command == "distance" and len(args.x) != len(args.y):
+        raise ValueError(f"argument y: must have x's {len(args.x)} coordinates, got {len(args.y)}")
 
 
 def _dry_run(args, cfg: ExperimentConfig | None) -> dict:
@@ -467,6 +479,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args) if "config" in vars(args) else None
+        _check_command(args, cfg)
         if args.dry_run:
             print(json.dumps(_dry_run(args, cfg), indent=2, default=_interleaved))
             return 0

@@ -455,10 +455,11 @@ class PairTable:
     """All-pairs inversion data between two point clouds.
 
     dist[i, j] and theta[i, j] describe Gamma_1^{-1}(x_i^{-1} * y_j) for
-    the rows x_i of xs and y_j of ys; chi (complex, shape (N, M, n)) is
-    kept only when requested.  unique is False exactly on center pairs.
-    The table is the shared input for cost matrices, midpoint sets, and
-    the deviation functional.
+    the rows x_i of xs and y_j of ys; chi (complex, shape (N, M, n)) is kept
+    only when requested, by the midpoint sets (BMI, SBMI), which read every
+    pair; a geodesic plan holds its own support's chi.  unique is False
+    exactly on center pairs.  The table is the shared input for cost
+    matrices, midpoint sets, and the deviation functional.
     """
 
     dist: np.ndarray

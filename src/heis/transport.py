@@ -28,7 +28,7 @@ supported pair.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -476,36 +476,32 @@ def w2(src: DiscreteMeasure, tgt: DiscreteMeasure) -> float:
 
 @dataclass
 class GeodesicPlan:
-    """An optimal plan together with the geodesic data of its support, so
-    that (T_s)#eta can be evaluated for any s in [0, 1]."""
+    """An optimal plan with chi[k], theta[k] of Gamma_1^{-1}(x_i^{-1} * y_j) for its k-th
+    supported pair (i, j), so that (T_s)#eta can be evaluated for any s in [0, 1]."""
 
     plan: TransportPlan
     source: DiscreteMeasure
     target: DiscreteMeasure
-    table: PairTable
+    chi: np.ndarray
+    theta: np.ndarray
+    unique: InitVar[np.ndarray]
 
-    def __post_init__(self):
-        bad = ~self.table.unique[self.plan.i, self.plan.j]
-        if np.any(bad):
-            pairs = list(zip(self.plan.i[bad][:8].tolist(),
-                             self.plan.j[bad][:8].tolist()))
+    def __post_init__(self, unique):  # the support's own flags: a center pair raises
+        if not unique.all():
+            pairs = list(zip(self.plan.i[~unique][:8].tolist(), self.plan.j[~unique][:8].tolist()))
             raise NonUniqueGeodesic(
-                f"plan supports center pairs with non-unique geodesics: {pairs}"
-            )
+                f"plan supports center pairs with non-unique geodesics: {pairs}")
 
 
 def geodesic_plan(src: DiscreteMeasure, tgt: DiscreteMeasure,
                   table: PairTable | None = None) -> GeodesicPlan:
-    """Solve exact transport and keep the geodesic data for interpolation.
-
-    `table` is the pair table of src and tgt, built with chi; without it
-    the table is built here.  A table without chi raises ValueError."""
-    if table is None:
-        table = geodesy.pair_table(src.points, tgt.points, want_chi=True)
-    elif table.chi is None:
-        raise ValueError("geodesic_plan needs a pair table built with chi")
-    plan = solve_exact(CostMatrix(table.dist ** 2), src.weights, tgt.weights)
-    return GeodesicPlan(plan=plan, source=src, target=tgt, table=table)
+    """Solve exact transport and invert its support once, with the pair table's bytes
+    there.  Of `table`, the pair table of src and tgt, only dist is read."""
+    C = cost_matrix(src, tgt) if table is None else CostMatrix(table.dist ** 2)
+    plan = solve_exact(C, src.weights, tgt.weights)
+    chi, theta, _, unique = geodesy._invert_arrays(*geodesy._twisted_difference(
+        src.points[plan.i], tgt.points[plan.j]), want_chi=True)
+    return GeodesicPlan(plan, src, tgt, chi, theta, unique)
 
 
 def interpolate(gp: GeodesicPlan, s: float) -> DiscreteMeasure:
@@ -515,13 +511,10 @@ def interpolate(gp: GeodesicPlan, s: float) -> DiscreteMeasure:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
     if s == 0.0:
-        return DiscreteMeasure(gp.source.points.copy(),
-                               gp.plan.row_sums(len(gp.source)))
+        return DiscreteMeasure(gp.source.points.copy(), gp.plan.row_sums(len(gp.source)))
     if s == 1.0:
-        return DiscreteMeasure(gp.target.points.copy(),
-                               gp.plan.col_sums(len(gp.target)))
-    ii, jj = gp.plan.i, gp.plan.j
-    pts = geodesy._along(s, gp.source.points[ii], gp.table.chi[ii, jj], gp.table.theta[ii, jj])
+        return DiscreteMeasure(gp.target.points.copy(), gp.plan.col_sums(len(gp.target)))
+    pts = geodesy._along(s, gp.source.points[gp.plan.i], gp.chi, gp.theta)
     first, inv = _row_labels(_merge_keys(pts))
     mass = np.bincount(inv, weights=gp.plan.mass)
     return DiscreteMeasure(pts[first], mass / mass.sum())

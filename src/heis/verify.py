@@ -152,13 +152,7 @@ def sampled_measures(A: Region, B: Region, N: int, seed: int):
     return normalized_measure(A, N, seed), normalized_measure(B, N, seed + 1)
 
 
-def _sampled_instance(A: Region, B: Region, N: int, seed: int):
-    """The sampled measures and their pair table with chi."""
-    mu0, mu1 = sampled_measures(A, B, N, seed)
-    return mu0, mu1, geodesy.pair_table(mu0.points, mu1.points, want_chi=True)
-
-
-def _exact_geodesics(name, s_values, mu0, mu1, table):
+def _exact_geodesics(name, s_values, mu0, mu1, table=None):
     """(exact geodesic plan, None), or (None, inconclusive reports) if it holds center pairs."""
     try:
         return geodesic_plan(mu0, mu1, table), None
@@ -201,14 +195,14 @@ def verify_cd_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     is the Monte-Carlo spread of the pair terms.  Each report carries a
     JENSEN side-report in extras.
     """
-    mu0, mu1, table = _sampled_instance(A, B, N, seed)
-    gp, degenerate = _exact_geodesics("CD", s_values, mu0, mu1, table)
+    mu0, mu1 = sampled_measures(A, B, N, seed)
+    gp, degenerate = _exact_geodesics("CD", s_values, mu0, mu1)
     if gp is None:
         return degenerate
 
     note = f"N={N} h={h:g} exact plan"
     # the plan supports unique pairs only: |theta| < 2pi, so every tau is finite
-    angles = np.abs(table.theta[gp.plan.i, gp.plan.j])
+    angles = np.abs(gp.theta)
     reports = []
     for s in s_values:
         mu_s = interpolate(gp, s)
@@ -218,12 +212,10 @@ def verify_cd_sweep(A: Region, B: Region, s_values, N: int, seed: int,
         rhs_err = _weighted_spread(gp.plan.mass, -terms)
         margin = rhs - lhs
         stderr = float(np.hypot(lhs_err, rhs_err))
-        rep = InequalityReport.build(
+        reports.append(InequalityReport.build(
             "CD", s, lhs=lhs, rhs=rhs, margin=margin, stderr=stderr, note=note,
             extras={"w2": float(np.sqrt(gp.plan.cost)),
-                    "jensen": _jensen_report(mu_s, s, h).to_json()},
-        )
-        reports.append(rep)
+                    "jensen": _jensen_report(mu_s, s, h).to_json()}))
     return reports
 
 
@@ -286,7 +278,8 @@ def verify_bmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     minimum, which can only overestimate the essential infimum and
     therefore only strengthens the claimed bound.
     """
-    mu0, mu1, table = _sampled_instance(A, B, N, seed)
+    mu0, mu1 = sampled_measures(A, B, N, seed)
+    table = geodesy.pair_table(mu0.points, mu1.points, want_chi=True)  # the midpoint sets read chi
     theta_dev = theta_deviation(mu0.points, mu1.points, table=table)
     if theta_dev >= TWO_PI:
         return [_inconclusive("BMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
@@ -304,7 +297,8 @@ def verify_sbmi_sweep(A: Region, B: Region, s_values, N: int, seed: int,
     Reports also carry the BMI left side and the containment margin
     lhs_SBMI <= lhs_BMI (the support sits inside the midpoint set).
     """
-    mu0, mu1, table = _sampled_instance(A, B, N, seed)
+    mu0, mu1 = sampled_measures(A, B, N, seed)
+    table = geodesy.pair_table(mu0.points, mu1.points, want_chi=True)  # the midpoint sets read chi
     theta_dev = theta_deviation(mu0.points, mu1.points, table=table)
     if theta_dev >= TWO_PI:
         return [_inconclusive("SBMI", s, _THETA_DEGENERATE_NOTE) for s in s_values]
@@ -448,12 +442,11 @@ def verify_bbl(f: GridFunction, g: GridFunction, h_fn: GridFunction,
 
     fx = f.value_at(xs)
     gy = g.value_at(ys)
-    z, theta, _ = geodesy._paired_midpoints(s, xs, ys)
-    th = np.abs(theta)
-    # skip f(x) = g(y) = 0, and theta = 2pi: a non-unique midpoint, where
+    z, theta, unique = geodesy._paired_midpoints(s, xs, ys)
+    # skip f(x) = g(y) = 0, and center pairs: a non-unique midpoint, where
     # the coefficient is infinite anyway
-    live = np.nonzero(((fx != 0.0) | (gy != 0.0)) & (th < TWO_PI))[0]
-    th = th[live]
+    live = np.nonzero(((fx != 0.0) | (gy != 0.0)) & unique)[0]
+    th = np.abs(theta[live])
     # tau~ < inf for theta < 2pi; float_power, as in p_mean, is the C
     # library's pow, which numpy's vectorised ** can miss by a bit
     bound = p_mean(p, s, fx[live] / np.float_power(tau_tilde(n, 1.0 - s, th), d),

@@ -377,6 +377,17 @@ _BAD_VALUES = [
      "argument --s: step-limit runs at one s, got [0.25, 0.75]"),
     (["step-limit", "--s", "0:1:0.5"], None,
      "argument --s: step-limit runs at one s, got [0.0, 0.5, 1.0]"),
+    (["verify-bbl", "--s", "0,0.5"], None,
+     "argument --s: verify-bbl needs every s strictly inside (0, 1), got [0.0, 0.5]"),
+    (["verify-bbl"], {"s_values": [0.0, 0.25, 0.5, 0.75, 1.0]},
+     "config key 's_values': verify-bbl needs every s strictly inside (0, 1), "
+     "got [0.0, 0.25, 0.5, 0.75, 1.0]"),
+    (["verify-bbl", "--s", "0.5", "--p", "-1"], None,
+     "argument --p: must be >= -1/(2n+1) = -0.333333, got -1.0"),
+    (["verify-bbl", "--s", "0.5", "--p", "-0.25"],
+     {"A": {"kind": "box", "intervals": [[0, 1]] * 5},
+      "B": {"kind": "box", "intervals": [[0, 1]] * 5}},
+     "argument --p: must be >= -1/(2n+1) = -0.2, got -0.25"),
     (["transport", "--N", "4", "--solver", "sinkhornfoo"], None, f"argument --solver: {_SOLVER_FORMS}"),
     (["transport", "--N", "4", "--solver", "sinkhorn(0.1"], None,
      f"argument --solver: {_SOLVER_FORMS}"),
@@ -392,6 +403,8 @@ _BAD_VALUES = [
      "argument x: must be a finite number, got [0, 0, 0]"),
     (["distance", "[0,0,0]", "[0,0]"], None,
      "argument y: coordinate length must be odd and >= 3, got 2"),
+    (["distance", "[0,0,0]", "[0,0,0,0,0]"], None,
+     "argument y: must have x's 3 coordinates, got 5"),
     (["geodesic", "[1]", "3"], None, "argument chi: must hold an even count of reals, got 1"),
     (["geodesic", "[]", "3"], None, "argument chi: must be a non-empty list, got []"),
     (["geodesic", "[[1,0]]", "3"], None, "argument chi: must be a finite number, got [1, 0]"),

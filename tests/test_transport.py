@@ -22,6 +22,7 @@ from heis.transport import (
     solve_sinkhorn,
     w2,
 )
+from heis.verify import verify_cd_sweep
 
 
 def cloud(rng, k, shift=0.0):
@@ -775,23 +776,31 @@ class TestDedup:
         assert np.array_equal(first, want_first)
         assert np.array_equal(labels, want_labels.ravel())
 
-    def test_interpolant_matches_numpy_unique_merge(self):
-        # interpolants of a plan with coincident midpoints (repeated atoms)
-        # keep the bits of the np.unique merge
-        rng = np.random.default_rng(23)
-        A = cloud(rng, 10)[rng.integers(0, 10, 30)]
-        B = cloud(rng, 10, shift=1.0)[rng.integers(0, 10, 30)]
-        gp = geodesic_plan(measure(A), measure(B))
-        for s in (0.25, 0.5, 0.75):
-            got = interpolate(gp, s)
-            ii, jj = gp.plan.i, gp.plan.j
-            pts = geodesy._along(s, A[ii], gp.table.chi[ii, jj], gp.table.theta[ii, jj])
-            _, first, inv = np.unique(transport._merge_keys(pts), axis=0,
-                                      return_index=True, return_inverse=True)
-            mass = np.bincount(inv.ravel(), weights=gp.plan.mass)
-            assert len(first) < len(pts)
-            assert got.points.tobytes() == pts[first].tobytes()
-            assert got.weights.tobytes() == (mass / mass.sum()).tobytes()
+
+@st.composite
+def supports_with_repeats(draw):
+    """Clouds A and B in H^n, n = 1 or 2, with repeated atoms, 3 apart in
+    xi_1 (so no pair of them is a center pair).  Each ends with two copies
+    of a far point, x0 in A and y0 = x0 + e_1 in B; an optimal plan matches
+    those copies, whose midpoints coincide.  Both clouds may be translated
+    on the left by 1e7 e_1, which keeps every distance and puts xi_1 near
+    1e7 (and t near -2e7 eta_1)."""
+    n = draw(st.integers(1, 2))
+    d = 2 * n + 1
+
+    def repeats(shift):
+        k = draw(st.integers(1, 4))
+        base = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * d,
+                                      max_size=k * d))).reshape(k, d)
+        pts = base[draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))]
+        pts[:, 0] += shift
+        return pts
+
+    far = np.zeros((2, d))
+    A = np.vstack([repeats(0.0), far + 50.0 * np.eye(d)[0]])
+    B = np.vstack([repeats(3.0), far + 51.0 * np.eye(d)[0]])
+    g = draw(st.sampled_from([0.0, 1e7])) * np.eye(d)[0]
+    return core.group_mul(g, A), core.group_mul(g, B)
 
 
 class TestInterpolation:
@@ -822,22 +831,54 @@ class TestInterpolation:
         assert np.array_equal(mid.points, [[1.1e7, 0.0, 0.0], [2.1e7, 0.0, 0.0]])
         assert np.array_equal(mid.weights, [0.5, 0.5])
 
-    def test_given_table_is_not_rebuilt(self):
-        rng = np.random.default_rng(21)
-        src, tgt = measure(cloud(rng, 12)), measure(cloud(rng, 12, shift=1.0))
-        table = geodesy.pair_table(src.points, tgt.points, want_chi=True)
+    @settings(deadline=None, max_examples=60)
+    @given(supports_with_repeats(), st.floats(0.1, 4.0), st.integers(0, 2 ** 32))
+    def test_plan_holds_its_supports_geodesics(self, clouds, c, seed):
+        A, B = clouds
+        n = core.dim_to_n(A)
+        src, tgt = measure(A), measure(B)
+        full = geodesy.pair_table(A, B, want_chi=True)
         with mock.patch.object(geodesy, "pair_table", wraps=geodesy.pair_table) as built:
-            gp = geodesic_plan(src, tgt, table)
-        assert built.call_count == 0
-        assert gp.table is table
-        ref = geodesic_plan(src, tgt)
-        assert np.array_equal(gp.plan.i, ref.plan.i) and np.array_equal(gp.plan.j, ref.plan.j)
+            gps = [geodesic_plan(src, tgt, table) for table in (geodesy.pair_table(A, B), full)]
+            assert built.call_count == 1  # the chi-less table above: a given one is not rebuilt
+            gps.append(geodesic_plan(src, tgt))
+        assert built.call_count == 2 and not built.call_args.kwargs.get("want_chi")
 
-    def test_table_without_chi_rejected(self):
-        rng = np.random.default_rng(22)
-        src, tgt = measure(cloud(rng, 6)), measure(cloud(rng, 6, shift=1.0))
-        with pytest.raises(ValueError, match="built with chi"):
-            geodesic_plan(src, tgt, geodesy.pair_table(src.points, tgt.points))
+        # no table, a chi-less one and one with chi give the same bytes
+        ii, jj = gps[0].plan.i, gps[0].plan.j
+        for gp in gps:
+            for got, want in ((gp.plan.i, ii), (gp.plan.j, jj), (gp.plan.mass, gps[0].plan.mass),
+                              (gp.chi, full.chi[ii, jj]), (gp.theta, full.theta[ii, jj])):
+                assert got.tobytes() == want.tobytes()
+        for s in (0.25, 0.5):
+            # the interpolant is the np.unique merge of the table's midpoints on
+            # the support; the two far copies of x0 and y0 merge
+            pts = geodesy._along(s, A[ii], full.chi[ii, jj], full.theta[ii, jj])
+            _, first, inv = np.unique(transport._merge_keys(pts), axis=0,
+                                      return_index=True, return_inverse=True)
+            mass = np.bincount(inv.ravel(), weights=gps[0].plan.mass)
+            assert len(first) < len(pts)
+            for gp in gps:
+                got = interpolate(gp, s)
+                assert got.points.tobytes() == pts[first].tobytes()
+                assert got.weights.tobytes() == (mass / mass.sum()).tobytes()
+
+        # a center pair on the support still raises, with any table
+        x = A[:1]
+        y = x.copy()
+        y[0, -1] += c
+        for table in (None, geodesy.pair_table(x, y), geodesy.pair_table(x, y, want_chi=True)):
+            with pytest.raises(geodesy.NonUniqueGeodesic):
+                geodesic_plan(measure(x), measure(y), table)
+
+        # CD reads its plan's geodesics, not a table's chi
+        d = 2 * n + 1
+        with mock.patch.object(geodesy, "pair_table", wraps=geodesy.pair_table) as built:
+            reports = verify_cd_sweep(BoxRegion.unit(n), BoxRegion.shifted([1.5] + [0.0] * (d - 1)),
+                                      [0.5], N=8, seed=seed, h=0.5)
+        assert built.call_count >= 1 and len(reports) == 1
+        for call in built.call_args_list:
+            assert len(call.args) == 2 and not call.kwargs.get("want_chi")
 
     def test_center_pair_rejected(self):
         src = measure(np.array([[0.0, 0.0, 0.0]]))
