@@ -26,10 +26,11 @@ Inversion at s=1 reduces, for zeta != 0, to the scalar monotone equation
 
     t / |zeta|^2 = m(theta) := (theta - sin theta) / (2 sin^2(theta/2))
 
-on (-2pi, 2pi).  Each root starts from a tabulated inverse of m and takes
-three Newton steps: on theta below theta = pi, and on eps = 2pi - theta
-above it, where theta cannot hold eps to full precision; there |chi| and
-the phase of chi come from eps as well.  The relative residual of m at
+on (-2pi, 2pi).  Each root starts from a tabulated inverse of m, good to
+about 1.6e-6 relative, and takes two Newton steps, which square that
+error twice: on theta below theta = pi, and on eps = 2pi - theta above
+it, where theta cannot hold eps to full precision; there |chi| and the
+phase of chi come from eps as well.  The relative residual of m at
 the root is at most 1e-12 for every u = t/|zeta|^2 off the center branch,
 i.e. |u| <= CENTER_TOL^-2.  Points on the center (zeta = 0, t != 0) sit
 on the non-unique theta = +-2pi family with |chi| = sqrt(pi |t|).
@@ -71,9 +72,14 @@ TWO_PI = 2.0 * np.pi
 # the generic inversion is ill-conditioned but the branch formula is exact.
 CENTER_TOL = 1e-10
 
-# pairs per row block of the bulk kernels: small enough that a block's
-# temporaries stay in a core's L2 cache
-_CHUNK = 1 << 15
+# pairs per row block of the bulk kernels.  glibc's malloc maps a request
+# of at least its mmap threshold (128 KiB by default) afresh, and each free
+# of a larger mapping raises that threshold and the free heap it keeps; so
+# temporaries above it run at a speed that depends on what the process
+# freed before.  A block's largest temporaries are complex arrays of 16
+# bytes a pair for n = 1, so _CHUNK pairs keep them within the default.
+_MMAP_THRESHOLD = 128 * 1024
+_CHUNK = _MMAP_THRESHOLD // np.dtype(complex).itemsize
 
 _max_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
@@ -135,7 +141,6 @@ class InversionResult:
 _SERIES = np.array([[(-1) ** k * c / math.factorial(2 * k + 3) for c in (1, 2 * k + 3, 6 * k + 6)]
                     for k in range(7)][::-1])
 _SERIES_THETA = 0.5
-_NEWTON_STEPS = 3
 
 
 def _series_or_closed(x, series, closed):
@@ -229,7 +234,7 @@ def _interp_start(x, table):
 def _solve_below_pi(u, m_and_dm):
     """theta in (0, pi] with m(theta) = u, for 0 < u <= pi/2."""
     th = _interp_start(u / _U_STEP, _THETA_START)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(2):
         m, dm = m_and_dm(th)
         th = th - (m - u) / dm
     return th, np.sin(0.5 * th), np.cos(0.5 * th)
@@ -244,7 +249,7 @@ def _solve_above_pi(u):
     log_eps = np.where(x < _TABLE_STEPS, _interp_start(x, _LOG_EPS_START),
                        0.5 * (np.log(4.0 * np.pi) - lu))
     eps = np.exp(log_eps)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(2):
         num, d, sn = _m_eps_terms(eps)
         # d/deps log m = -d / num - sin(eps) / d
         eps = eps - np.log(num / (d * u)) / (-d / num - sn / d)
@@ -255,17 +260,19 @@ def _solve_theta(u):
     """Solve m(theta) = u for theta in (-2pi, 2pi), elementwise.
 
     Returns (theta, sin(theta/2), cos(theta/2)).  Each root starts from a
-    tabulated inverse of m and takes three Newton steps.  Below theta = pi
-    the iterate is theta (Newton on m, by Taylor series for theta < 0.5);
-    above, it is eps = 2pi - theta (Newton on log m), and the half-angle
-    sine and cosine come from eps, which theta cannot hold to full
-    precision as theta -> 2pi.  Contract: the relative residual of m at
-    the returned root is at most 1e-12 for every |u| <= CENTER_TOL^-2 (the
-    largest u off the center branch); the result is a pure function of
-    |u| and sign(u).
+    tabulated inverse of m, good to about 1.6e-6 relative, and takes two
+    Newton steps: quadratic convergence takes that error below the
+    rounding of m itself, so a third step would change only last bits.
+    Below theta = pi the iterate is theta (Newton on m, by Taylor series
+    for theta < 0.5); above, it is eps = 2pi - theta (Newton on log m),
+    and the half-angle sine and cosine come from eps, which theta cannot
+    hold to full precision as theta -> 2pi.  Contract: the relative
+    residual of m at the returned root is at most 1e-12 for every
+    |u| <= CENTER_TOL^-2 (the largest u off the center branch); the result
+    is a pure function of |u| and sign(u).
     """
     u = np.asarray(u, dtype=float)
-    au = np.abs(u)
+    au = np.abs(u).reshape(-1)  # flat, for the branches' integer indices
     theta = au * 0.0  # 0 at u = 0, NaN at NaN
     s = theta.copy()
     c = theta + 1.0
@@ -280,8 +287,10 @@ def _solve_theta(u):
             continue
         if k == mask.size:  # one branch takes every element, as in a one-point call
             theta, s, c = solve(au)
-        else:
-            theta[mask], s[mask], c[mask] = solve(au[mask])
+        else:  # integer indices gather and scatter 3-5x faster than the mask
+            idx = np.flatnonzero(mask)
+            theta[idx], s[idx], c[idx] = solve(au[idx])
+    theta, s, c = (a.reshape(u.shape) for a in (theta, s, c))
     neg = u < 0
     return np.where(neg, -theta, theta), np.where(neg, -s, s), c
 
@@ -364,9 +373,34 @@ def _invert_arrays(zeta, t, want_chi=False):
     return chi, theta, dist, ~on_center
 
 
+def _points(x, ndim):
+    """x as a float array of ndim axes whose last holds the 2n+1 coordinates
+    of a point of H^n: one point (ndim 1) or a cloud of row points (ndim 2)."""
+    x = np.asarray(x, dtype=float)
+    form = "one point of shape (2n+1,)" if ndim == 1 else "a point cloud of shape (k, 2n+1)"
+    if x.ndim != ndim:
+        raise ValueError(f"need {form}, got shape {x.shape}")
+    try:
+        core.dim_to_n(x)
+    except ValueError as err:
+        raise ValueError(f"need {form}, got shape {x.shape}") from err
+    return x
+
+
+def _two_points(x, y, ndim, paired):
+    """x and y through _points; paired ones (two single points, matched
+    clouds) need equal shapes, the clouds of a pair table equal widths."""
+    x, y = _points(x, ndim), _points(y, ndim)
+    same = x.shape == y.shape if paired else x.shape[1] == y.shape[1]
+    if not same:
+        need = "equal shapes" if paired else "clouds of one point dimension"
+        raise ValueError(f"need {need}, got shapes {x.shape} and {y.shape}")
+    return x, y
+
+
 def gamma_inverse(y) -> InversionResult:
     """Gamma_1^{-1}(y) for a single point (origin inverts to (0, 0))."""
-    y = np.asarray(y, dtype=float)
+    y = _points(y, 1)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite input point")
     zeta, t = core.to_complex(y)
@@ -388,7 +422,7 @@ def paired_invert(xs, ys):
     """Gamma_1^{-1}(x_k^{-1} * y_k) elementwise for matched clouds.
 
     Returns (theta, dist, unique) arrays of length len(xs)."""
-    xs, ys = core.check_same_dim(np.atleast_2d(xs), np.atleast_2d(ys))
+    xs, ys = _two_points(xs, ys, 2, paired=True)
     _, theta, dist, unique = _invert_arrays(*_twisted_difference(xs, ys))
     return theta, dist, unique
 
@@ -414,7 +448,7 @@ def cc_distance_many(xs, ys) -> np.ndarray:
 
 def _one_pair(x, y):
     """Single points x, y as the one-row clouds of the paired kernel."""
-    x, y = core.check_same_dim(x, y)
+    x, y = _two_points(x, y, 1, paired=True)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite input point")
     return x[None], y[None]
@@ -422,12 +456,12 @@ def _one_pair(x, y):
 
 def cc_distance(x, y) -> float:
     """Carnot-Caratheodory distance, via left invariance."""
-    return float(paired_invert(*_one_pair(x, y))[1][0])
+    return float(_invert_arrays(*_twisted_difference(*_one_pair(x, y)))[2][0])
 
 
 def angle(x, y) -> float:
     """|theta| of Gamma_1^{-1}(x^{-1} * y); 0 when x == y; symmetric."""
-    return float(abs(paired_invert(*_one_pair(x, y))[0][0]))
+    return float(abs(_invert_arrays(*_twisted_difference(*_one_pair(x, y)))[1][0]))
 
 
 def midpoint(s: float, x, y) -> np.ndarray:
@@ -518,9 +552,7 @@ def pair_table(xs, ys, want_chi: bool = False) -> PairTable:
     """Invert x_i^{-1} * y_j for all pairs, in row blocks of about _CHUNK
     pairs written into tables allocated once.  The result has the same
     bytes for any block size and any worker count."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    core.check_same_dim(xs, ys)
+    xs, ys = _two_points(xs, ys, 2, paired=False)
     shape = (xs.shape[0], ys.shape[0])
     theta = np.empty(shape)
     dist = np.empty(shape)

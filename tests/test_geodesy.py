@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -285,6 +286,66 @@ class TestScalarViews:
                 call()
 
 
+ROW = np.zeros((1, 3))
+CLOUD = np.zeros((4, 3))
+
+
+class TestInputShapes:
+    """One-point functions take one point of shape (2n+1,); the bulk ones
+    take clouds of shape (k, 2n+1), and the paired ones equal row counts.
+    Every other input is a ValueError that names the shapes."""
+
+    @pytest.mark.parametrize("call, shapes", [
+        (lambda: gamma_inverse(pt(1.0, 0.0, 0.0, 0.0)), "(4,)"),
+        (lambda: gamma_inverse(ROW), "(1, 3)"),
+        (lambda: gamma_inverse(2.0), "()"),
+        (lambda: midpoint(0.5, ROW, ROW + [1.0, 0.0, 0.0]), "(1, 3)"),
+        (lambda: midpoint(0.5, pt(0.0, 0.0), pt(1.0, 0.0)), "(2,)"),
+        (lambda: cc_distance(ROW, ROW), "(1, 3)"),
+        (lambda: cc_distance(0.0, 1.0), "()"),
+        (lambda: cc_distance(np.zeros(4), np.ones(4)), "(4,)"),
+        (lambda: cc_distance(np.zeros(3), np.zeros(5)), "(3,) and (5,)"),
+        (lambda: angle(ROW, ROW), "(1, 3)"),
+        (lambda: angle(0.0, 1.0), "()"),
+        (lambda: angle(np.zeros(4), np.ones(4)), "(4,)"),
+        (lambda: angle(np.zeros(5), np.zeros(3)), "(5,) and (3,)"),
+    ], ids=["gamma_inverse-even", "gamma_inverse-row", "gamma_inverse-scalar",
+            "midpoint-row", "midpoint-short", "cc_distance-row", "cc_distance-scalar",
+            "cc_distance-even", "cc_distance-dims", "angle-row", "angle-scalar",
+            "angle-even", "angle-dims"])
+    def test_one_point_functions(self, call, shapes):
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            call()
+
+    @pytest.mark.parametrize("call, shapes", [
+        (lambda: pair_table(np.zeros(3), CLOUD), "(3,)"),
+        (lambda: pair_table(CLOUD, 1.0), "()"),
+        (lambda: pair_table(np.zeros((2, 2, 3)), CLOUD), "(2, 2, 3)"),
+        (lambda: pair_table(np.zeros((4, 4)), np.zeros((4, 4))), "(4, 4)"),
+        (lambda: pair_table(CLOUD, np.zeros((2, 5))), "(4, 3) and (2, 5)"),
+        (lambda: midpoint_set(0.5, np.zeros(3), CLOUD), "(3,)"),
+        (lambda: geodesy.cc_distance_many(np.zeros(3), np.ones(3)), "(3,)"),
+        (lambda: geodesy.cc_distance_many(np.zeros((4, 2)), np.zeros((4, 2))), "(4, 2)"),
+        (lambda: geodesy.cc_distance_many(CLOUD, np.zeros((5, 3))), "(4, 3) and (5, 3)"),
+        (lambda: geodesy.cc_distance_many(CLOUD, np.zeros((4, 5))), "(4, 3) and (4, 5)"),
+        (lambda: geodesy.paired_invert(CLOUD, ROW), "(4, 3) and (1, 3)"),
+    ], ids=["pair_table-point", "pair_table-scalar", "pair_table-3d", "pair_table-even",
+            "pair_table-dims", "midpoint_set-point", "cc_distance_many-points",
+            "cc_distance_many-even", "cc_distance_many-rows", "cc_distance_many-dims",
+            "paired_invert-rows"])
+    def test_bulk_functions(self, call, shapes):
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            call()
+
+    def test_accepted_shapes(self):
+        x, y = pt(0.0, 0.0, 0.0), pt(2.0, 0.0, 0.0)
+        assert cc_distance(x, y) == 2.0 and angle(x, y) == 0.0
+        assert midpoint(0.5, x, y).shape == (3,)
+        assert gamma_inverse(y).distance == 2.0
+        assert geodesy.cc_distance_many(x[None], y[None]).shape == (1,)
+        assert pair_table(CLOUD, np.zeros((2, 3))).dist.shape == (4, 2)
+
+
 class TestMidpointSet:
     def test_singleton(self):
         x = pt(0.5, 0.5, 0.5)
@@ -429,6 +490,31 @@ class TestPairTable:
                 finally:
                     geodesy.set_max_workers(default)
 
+    def test_bytes_across_many_blocks(self, monkeypatch):
+        # 150 x 400 pairs span more than three default blocks; 1 << 6 pairs
+        # take one row of 400 per block
+        rng = np.random.default_rng(27)
+        xs = rand_points(rng, 150)
+        ys = rand_points(rng, 400)
+        ys[17] = xs[120]
+        ys[300, :-1] = xs[3, :-1]
+        assert xs.shape[0] * ys.shape[0] >= 3 * geodesy._CHUNK
+
+        def table_bytes():
+            tab = pair_table(xs, ys, want_chi=True)
+            return [a.tobytes() for a in (tab.dist, tab.theta, tab.unique, tab.chi,
+                                          tab.midpoints(0.5))]
+
+        want = table_bytes()
+        default = geodesy._max_workers
+        monkeypatch.setattr(geodesy, "_CHUNK", 1 << 6)
+        for workers in (1, 2):
+            geodesy.set_max_workers(workers)
+            try:
+                assert table_bytes() == want, workers
+            finally:
+                geodesy.set_max_workers(default)
+
     @pytest.mark.parametrize("N", [400, 800])
     def test_block_memory(self, N):
         # what a table or a midpoint set needs beyond its own output is a
@@ -516,7 +602,8 @@ class TestNearAxis:
 
 # subnormal coordinates would make dilation by powers of two inexact
 coord = st.floats(-4.0, 4.0).map(lambda v: v if abs(v) > 1e-100 else 0.0)
-points = st.tuples(coord, coord, coord).map(np.array)
+# one-row clouds, the bulk kernels' input
+points = st.tuples(coord, coord, coord).map(lambda p: np.array([p]))
 # geodesic data (chi, theta) with theta up to 2pi(1 - 1e-12); y = Gamma_1 of it
 speeds = st.floats(0.1, 10.0)
 phases = st.floats(0.0, TWO_PI)
@@ -558,15 +645,31 @@ def m_polyval(theta):
 
 
 def m_residual(u):
-    """|m(theta) - u| / |u| at the solved root.  m is evaluated from theta
-    up to pi; beyond, from the half-angle sine and cosine the solve returns,
-    since theta cannot resolve 2pi - theta there."""
+    """|m(theta) - u| / |u| at the solved roots, elementwise.  m is evaluated
+    from theta up to pi; beyond, from the half-angle sine and cosine the
+    solve returns, since theta cannot resolve 2pi - theta there."""
     th, s, c = geodesy._solve_theta(u)
-    if abs(th) <= np.pi:
-        m = geodesy._m(th)
-    else:
-        m = (th - 2.0 * s * c) / (2.0 * s * s)
-    return abs(m - u) / abs(u)
+    below = np.abs(th) <= np.pi
+    m = np.empty_like(th)
+    m[below] = geodesy._m(th[below])
+    th, s, c = th[~below], s[~below], c[~below]
+    m[~below] = (th - 2.0 * s * c) / (2.0 * s * s)
+    return np.abs(m - u) / np.abs(u)
+
+
+def worst_case_u():
+    """u where the two Newton steps start worst: every interval midpoint of
+    both start tables (the linear start's error peaks there), both sides of
+    each branch or table edge, and the largest u off the center branch."""
+    k = np.arange(geodesy._TABLE_STEPS) + 0.5
+    midpoints = np.concatenate([k * geodesy._U_STEP,
+                                np.exp(geodesy._LOG_U0 + k * geodesy._LOG_U_STEP)])
+    last_node = np.exp(geodesy._LOG_U0 + geodesy._TABLE_STEPS * geodesy._LOG_U_STEP)
+    edges = np.array([geodesy._U_SERIES, np.pi / 2.0, last_node, geodesy._U_ASYMPTOTE])
+    sides = np.concatenate([edges * f for f in (1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9)]
+                           + [np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    u = np.concatenate([midpoints, sides, [CENTER_TOL ** -2]])
+    return np.concatenate([u, -u])
 
 
 class TestInversionProperties:
@@ -581,6 +684,11 @@ class TestInversionProperties:
     @given(log_u, st.sampled_from([-1.0, 1.0]))
     def test_relative_residual(self, lu, sign):
         assert m_residual(np.array([sign * 10.0 ** lu]))[0] <= 1e-12
+
+    def test_worst_case_residual(self):
+        u = worst_case_u()
+        res = m_residual(u)
+        assert np.max(res) <= 1e-12, u[np.argmax(res)]
 
     @given(st.floats(0.3, 0.6))
     def test_series_matches_direct_form(self, theta):
