@@ -26,14 +26,17 @@ Inversion at s=1 reduces, for zeta != 0, to the scalar monotone equation
 
     t / |zeta|^2 = m(theta) := (theta - sin theta) / (2 sin^2(theta/2))
 
-on (-2pi, 2pi).  Each root starts from a tabulated inverse of m, good to
-about 1.6e-6 relative, and takes two Newton steps, which square that
-error twice: on theta below theta = pi, and on eps = 2pi - theta above
-it, where theta cannot hold eps to full precision; there |chi| and the
-phase of chi come from eps as well.  The relative residual of m at
-the root is at most 1e-12 for every u = t/|zeta|^2 off the center branch,
-i.e. |u| <= CENTER_TOL^-2.  Points on the center (zeta = 0, t != 0) sit
-on the non-unique theta = +-2pi family with |chi| = sqrt(pi |t|).
+on (-2pi, 2pi).  Below theta = pi (|u| <= pi/2, u = t/|zeta|^2) the root
+is read from a table of theta(u) / u, one polynomial of degree 5 per
+interval of u, built at import from roots polished in long double; it is
+good to about 2 ulp and takes no iteration.  Above, the root is carried
+as eps = 2pi - theta, which theta cannot hold to full precision: it
+starts from a tabulated log eps, good to about 1.6e-6 relative, and
+takes two Newton steps, and |chi| and the phase of chi come from eps as
+well.  The relative residual of m at the root is at most 1e-12 for every
+u off the center branch, i.e. |u| <= CENTER_TOL^-2.  Points on the
+center (zeta = 0, t != 0) sit on the non-unique theta = +-2pi family with
+|chi| = sqrt(pi |t|).
 
 The CC distance is d(x, y) = |chi| of Gamma_1^{-1}(x^{-1} * y); the angle
 theta(x, y) is the corresponding |theta|.
@@ -152,16 +155,10 @@ def _series_or_closed(x, series, closed):
 
 def _m_series(theta):
     """m and m' for 0 <= theta <= _SERIES_THETA (a little beyond is fine),
-    as polynomials in theta^2: no cancellation, no underflow near 0.  Both
-    series run in one in-place Horner loop with the steps of np.polyval:
-    the same bits in half the array operations, which one-point solves
-    feel most."""
-    w = np.asarray(theta * theta)
-    y = np.zeros((2,) + w.shape)
-    for coef in _SERIES[:, :2].reshape((len(_SERIES), 2) + (1,) * w.ndim):
-        y *= w
-        y += coef
-    sn, cs = y
+    as polynomials in theta^2: no cancellation, no underflow near 0."""
+    w = theta * theta
+    sn = np.polyval(_SERIES[:, 0], w)
+    cs = np.polyval(_SERIES[:, 1], w)
     return theta * sn / cs, 1.0 - sn * (1.0 - w * sn) / (cs * cs)
 
 
@@ -191,36 +188,83 @@ def _m_eps_terms(eps):
     return TWO_PI - eps + sn, 2.0 * s * s, sn
 
 
-# Start tables.  Below theta = pi (u <= pi/2) theta is tabulated on a
-# uniform grid of u; above, log eps with eps = 2pi - theta on a uniform grid
-# of log u, out to _U_ASYMPTOTE, past which eps ~ sqrt(4 pi / u) is good to
-# a relative eps^2 / 24 < 1e-8.  A uniform grid gives the interval by
+# Below theta = pi (|u| <= pi/2) theta comes from one table of theta(u) / u,
+# which is even in u because m is odd.  Interval k, |u / _U_STEP - k| <= 1/2,
+# holds one polynomial of degree _THETA_DEGREE in z = u / _U_STEP - k, and a
+# power-of-two step makes z exact.  theta / u rather than theta keeps the
+# full relative precision as u -> 0, and theta(0) = 0 exactly.
+_U_STEP = 2.0 ** -8
+_THETA_DEGREE = 5
+_THETA_LAST = round(np.pi / 2.0 / _U_STEP)  # the interval that holds u = pi/2
+
+
+def _m_long(theta):
+    """m in long double for 0 < theta <= 3.2: (x - sin x) / x^3 by its
+    Taylor series to 16 terms, whose terms cancel by at most a factor 3
+    there, over 2 sin^2(x/2).  Where the platform's long double is wider than
+    double, it carries m's rounding error well below double precision."""
+    theta = np.asarray(theta, dtype=np.longdouble)
+    k = np.arange(16, dtype=np.longdouble)
+    coef = -np.cumprod(-1.0 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))  # (-1)^k / (2k+3)!
+    w = theta * theta
+    s = np.sin(0.5 * theta)
+    return theta * w * np.polyval(coef[::-1], w) / (2.0 * s * s)
+
+
+def _theta_table():
+    """Coefficients in z of theta(u) / u: one row per power of z, highest
+    first, and one column per interval 0.._THETA_LAST.  Each polynomial
+    interpolates its interval's Chebyshev nodes, in long double.  The
+    roots there take two Newton steps in double from a linear start and a
+    third with m in long double; the interpolant comes from the nodes by
+    the discrete cosine sums of its Chebyshev coefficients, also in long
+    double, and is rounded to double only at the end."""
+    n = _THETA_DEGREE + 1
+    ang = (np.arange(n) + 0.5) * (np.arccos(np.longdouble(-1.0)) / n)
+    u = np.abs(np.arange(_THETA_LAST + 1)[:, None] + 0.5 * np.cos(ang)) * _U_STEP
+    u_double = u.astype(float)
+    grid = np.linspace(0.0, 3.2, 4097)  # past pi: the last interval reaches past u = pi/2
+    th = np.interp(u_double, _m(grid), grid)
+    for _ in range(2):
+        m, dm = _series_or_closed(th, _m_series, _m_direct)
+        th = th - (m - u_double) / dm
+    y = (th - (_m_long(th) - u) / dm) / u
+    # Chebyshev coefficients in x = 2z, and T_j(2z) in powers of z by
+    # T_{j+1}(2z) = 4z T_j(2z) - T_{j-1}(2z)
+    cheb = y @ np.cos(np.outer(ang, np.arange(n))) / (0.5 * n)  # 2 / n would round
+    cheb[:, 0] *= 0.5
+    powers = np.zeros((n, n))
+    powers[0, 0], powers[1, 1] = 1.0, 2.0
+    for j in range(1, n - 1):
+        powers[j + 1, 1:] = 4.0 * powers[j, :-1]
+        powers[j + 1] -= powers[j - 1]
+    return (cheb @ powers)[:, ::-1].T.astype(float, order="C")
+
+
+_THETA_TABLE = _theta_table()
+
+# Start table above theta = pi: log eps with eps = 2pi - theta on a uniform
+# grid of log u, out to _U_ASYMPTOTE, past which eps ~ sqrt(4 pi / u) is good
+# to a relative eps^2 / 24 < 1e-8.  A uniform grid gives the interval by
 # arithmetic, not by a search.
 _TABLE_STEPS = 2048
-_U_STEP = (np.pi / 2.0) / _TABLE_STEPS
 _LOG_U0 = np.log(np.pi / 2.0)
 _U_ASYMPTOTE = 1e8
 _LOG_U_STEP = (np.log(_U_ASYMPTOTE) - _LOG_U0) / _TABLE_STEPS
 
 
-def _start_tables():
-    """(values, steps) of both start tables, resampled from forward tables
-    of m twice as fine."""
-    def resample(x_fine, y_fine, x0, step):
-        y = np.interp(x0 + step * np.arange(_TABLE_STEPS + 1), x_fine, y_fine)
-        return y, np.append(np.diff(y), 0.0)
-
-    th = np.linspace(0.0, np.pi, 2 * _TABLE_STEPS + 1)
+def _log_eps_start():
+    """(values, steps) of the start table, resampled from a forward table of
+    log m twice as fine."""
     # eps from pi down past sqrt(4 pi / _U_ASYMPTOTE), so that u covers the table
     log_eps = np.linspace(np.log(np.pi), 0.5 * np.log(4.0 * np.pi / _U_ASYMPTOTE) - 1.0,
                           2 * _TABLE_STEPS + 1)
     num, d, _ = _m_eps_terms(np.exp(log_eps))
-    return (resample(_m(th), th, 0.0, _U_STEP),
-            resample(np.log(num / d), log_eps, _LOG_U0, _LOG_U_STEP))
+    y = np.interp(_LOG_U0 + _LOG_U_STEP * np.arange(_TABLE_STEPS + 1), np.log(num / d), log_eps)
+    return y, np.append(np.diff(y), 0.0)
 
 
-_THETA_START, _LOG_EPS_START = _start_tables()
-_U_SERIES = float(_m(_SERIES_THETA))
+_LOG_EPS_START = _log_eps_start()
 
 
 def _interp_start(x, table):
@@ -231,13 +275,18 @@ def _interp_start(x, table):
     return y[i] + (x - i) * dy[i]
 
 
-def _solve_below_pi(u, m_and_dm):
-    """theta in (0, pi] with m(theta) = u, for 0 < u <= pi/2."""
-    th = _interp_start(u / _U_STEP, _THETA_START)
-    for _ in range(2):
-        m, dm = m_and_dm(th)
-        th = th - (m - u) / dm
-    return th, np.sin(0.5 * th), np.cos(0.5 * th)
+def _solve_below_pi(u):
+    """theta in [0, pi] with m(theta) = u, for 0 <= u <= pi/2 (NaN gives
+    NaN), from the table: no iteration."""
+    z = u * (1.0 / _U_STEP)
+    i = np.fmin(z + 0.5, _THETA_LAST).astype(np.intp)  # fmin: NaN takes the last row
+    z -= i  # exact, by the power-of-two step
+    theta = _THETA_TABLE[0].take(i)
+    for coef in _THETA_TABLE[1:]:
+        theta *= z
+        theta += coef.take(i)
+    theta *= u
+    return theta
 
 
 def _solve_above_pi(u):
@@ -259,40 +308,35 @@ def _solve_above_pi(u):
 def _solve_theta(u):
     """Solve m(theta) = u for theta in (-2pi, 2pi), elementwise.
 
-    Returns (theta, sin(theta/2), cos(theta/2)).  Each root starts from a
-    tabulated inverse of m, good to about 1.6e-6 relative, and takes two
-    Newton steps: quadratic convergence takes that error below the
-    rounding of m itself, so a third step would change only last bits.
-    Below theta = pi the iterate is theta (Newton on m, by Taylor series
-    for theta < 0.5); above, it is eps = 2pi - theta (Newton on log m),
-    and the half-angle sine and cosine come from eps, which theta cannot
-    hold to full precision as theta -> 2pi.  Contract: the relative
-    residual of m at the returned root is at most 1e-12 for every
-    |u| <= CENTER_TOL^-2 (the largest u off the center branch); the result
-    is a pure function of |u| and sign(u).
+    Returns (theta, sin(theta/2), cos(theta/2)).  Below theta = pi
+    (|u| <= pi/2) theta is read from the polynomial table of theta / u,
+    good to about 2 ulp, with no iteration.  Above, the iterate is
+    eps = 2pi - theta: it starts from a tabulated log eps, good to about
+    1.6e-6 relative, and takes two Newton steps on log m, and the
+    half-angle sine and cosine come from eps, which theta cannot hold to
+    full precision as theta -> 2pi.  Unless every element lies above pi,
+    every element takes the table and only those above pi are gathered for
+    the Newton steps.  Contract:
+    the relative residual of m at the returned root is at most 1e-12 for
+    every |u| <= CENTER_TOL^-2 (the largest u off the center branch); the
+    result is a pure function of |u| and sign(u).
     """
     u = np.asarray(u, dtype=float)
-    au = np.abs(u).reshape(-1)  # flat, for the branches' integer indices
-    theta = au * 0.0  # 0 at u = 0, NaN at NaN
-    s = theta.copy()
-    c = theta + 1.0
-    above = au > np.pi / 2.0
-    series = (au > 0.0) & (au < _U_SERIES)
-    direct = (au >= _U_SERIES) & ~above
-    for mask, solve in ((series, lambda v: _solve_below_pi(v, _m_series)),
-                        (direct, lambda v: _solve_below_pi(v, _m_direct)),
-                        (above, _solve_above_pi)):
-        k = np.count_nonzero(mask)
-        if k == 0:
-            continue
-        if k == mask.size:  # one branch takes every element, as in a one-point call
-            theta, s, c = solve(au)
-        else:  # integer indices gather and scatter 3-5x faster than the mask
-            idx = np.flatnonzero(mask)
-            theta[idx], s[idx], c[idx] = solve(au[idx])
-    theta, s, c = (a.reshape(u.shape) for a in (theta, s, c))
-    neg = u < 0
-    return np.where(neg, -theta, theta), np.where(neg, -s, s), c
+    au = np.abs(u).reshape(-1)  # flat, for the integer indices of the elements above pi
+    above = np.flatnonzero(au > np.pi / 2.0)
+    if above.size == au.size:  # as in a one-point call near the axis: no table
+        theta, s, c = _solve_above_pi(au)
+    else:
+        theta = _solve_below_pi(np.minimum(au, np.pi / 2.0))
+        s = 0.5 * theta
+        c = np.cos(s)
+        np.sin(s, out=s)
+        if above.size:
+            theta[above], s[above], c[above] = _solve_above_pi(au[above])
+    neg = (u < 0).reshape(-1)
+    np.negative(theta, out=theta, where=neg)
+    np.negative(s, out=s, where=neg)
+    return tuple(a.reshape(u.shape) for a in (theta, s, c))
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +385,27 @@ def _invert_arrays(zeta, t, want_chi=False):
     """
     zeta = np.asarray(zeta, dtype=complex)
     t = np.asarray(t, dtype=float)
-    az = np.sqrt(core._row_sum(lambda j: zeta.real[..., j] ** 2 + zeta.imag[..., j] ** 2,
-                               zeta.shape[-1]))
+    az2 = core._row_sum(lambda j: zeta.real[..., j] ** 2 + zeta.imag[..., j] ** 2, zeta.shape[-1])
+    az = np.sqrt(az2)
+    # below the smallest normal float the sum of squares has lost bits to
+    # underflow, or all of them for |zeta| < 1.5e-162: such rows take |zeta|
+    # by hypot, and u below divides by |zeta| twice, not by its square
+    low = az2 < np.finfo(float).tiny
+    underflow = low.any()
+    if underflow:
+        az[low] = np.hypot.reduce(np.abs(zeta[low]), axis=-1)
     at = np.abs(t)
     on_center = az < CENTER_TOL * np.sqrt(at)
     generic = ~(on_center | ((az == 0.0) & (t == 0.0)))
     # gather and scatter only when some entry is not generic
     every = generic.all()
     zeta_g, t_g, az_g = (zeta, t, az) if every else (zeta[generic], t[generic], az[generic])
-    th, s, c = _solve_theta(t_g / (az_g * az_g))
+    num, den = t_g, az_g * az_g
+    if underflow:  # where |zeta|^2 underflows, u = t / |zeta| / |zeta|
+        lo = low if every else low[generic]
+        num = np.where(lo, t_g / az_g / az_g, t_g)
+        den[lo] = 1.0
+    th, s, c = _solve_theta(num / den)
     # |chi| / |zeta| = (theta/2) / sin(theta/2), and 1 at theta = 0
     ratio = np.divide(0.5 * th, s, out=np.ones_like(s), where=s != 0.0)
     dist_g = az_g * ratio

@@ -596,6 +596,46 @@ class TestNearAxis:
         assert cc_distance(origin, pt(0.0, 0.0, 1.0)) == np.sqrt(np.pi)
 
 
+class TestTinyZeta:
+    """Points whose |zeta|^2 underflows: to 0 below |zeta| of about 1.5e-162,
+    to a subnormal with lost bits below about 1.5e-154."""
+
+    def test_horizontal_point(self):
+        origin = core.origin(1)
+        y = pt(1e-162, 0.0, 0.0)
+        assert cc_distance(origin, y) == 1e-162
+        assert angle(origin, y) == 0.0
+        res = gamma_inverse(y)
+        assert res.unique and res.distance == 1e-162 and res.param.theta == 0.0
+        assert res.param.chi.tolist() == [1e-162 + 0j]
+
+    @pytest.mark.parametrize("zeta, t", [
+        ([3e-162], 2.0 ** -1073),                # u = t / |zeta|^2 near 1.1
+        ([3e-162, 2e-162j], -(2.0 ** -1072)),    # n = 2, u near -1.5
+        ([1e-155], 1e-310),                      # |zeta|^2 subnormal, u near 1
+        ([1e-160, 1e-160j], 1e-317),             # above theta = pi, u near 500
+    ])
+    def test_inverts_as_its_dilate(self, zeta, t):
+        y = core.from_complex(np.array(zeta, dtype=complex), t)
+        lam = 2.0 ** 500
+        origin = core.origin(len(zeta))
+        res, big = gamma_inverse(y), gamma_inverse(core.dilate(lam, y))
+        assert res.unique and big.unique
+        assert res.param.theta == pytest.approx(big.param.theta, rel=1e-14)
+        assert res.distance * lam == pytest.approx(big.distance, rel=1e-14)
+        assert np.allclose(res.param.chi * lam, big.param.chi, rtol=1e-14, atol=0.0)
+        assert angle(origin, y) == abs(res.param.theta)
+        assert cc_distance(origin, y) == res.distance
+
+    def test_center_point(self):
+        # t != 0 and |zeta| far below CENTER_TOL sqrt(|t|): the center branch
+        res = gamma_inverse(pt(1e-162, 0.0, 1.0))
+        assert not res.unique
+        assert res.param.theta == TWO_PI
+        assert res.distance == np.sqrt(np.pi)
+        assert cc_distance(core.origin(1), pt(1e-162, 0.0, -1.0)) == np.sqrt(np.pi)
+
+
 # ---------------------------------------------------------------------------
 # property tests of the inversion across its whole domain
 # ---------------------------------------------------------------------------
@@ -633,6 +673,8 @@ rows = st.one_of(
     st.just(([(0.0, 0.0), (0.0, 0.0)], 0.0)),
     st.sampled_from([0.5, 1.0, 2.0]).map(
         lambda f: ([(f * CENTER_TOL, 0.0), (0.0, 0.0)], 1.0)),
+    # |zeta|^2 underflows: horizontal, u near 1.1, and on the center
+    st.sampled_from([0.0, 2.0 ** -1073, 1.0]).map(lambda t: ([(3e-162, 0.0), (0.0, 0.0)], t)),
 )
 
 
@@ -647,8 +689,12 @@ def m_polyval(theta):
 def m_residual(u):
     """|m(theta) - u| / |u| at the solved roots, elementwise.  m is evaluated
     from theta up to pi; beyond, from the half-angle sine and cosine the
-    solve returns, since theta cannot resolve 2pi - theta there."""
+    solve returns, since theta cannot resolve 2pi - theta there.  Below
+    |theta| = 1e-300, where m(theta) = theta / 3 to double precision, theta
+    and u are scaled by 2^600 first, so that m's products stay normal."""
     th, s, c = geodesy._solve_theta(u)
+    scale = np.where(np.abs(th) < 1e-300, 2.0 ** 600, 1.0)
+    th, u = th * scale, u * scale
     below = np.abs(th) <= np.pi
     m = np.empty_like(th)
     m[below] = geodesy._m(th[below])
@@ -657,19 +703,57 @@ def m_residual(u):
     return np.abs(m - u) / np.abs(u)
 
 
+def theta_table_nodes():
+    """The Chebyshev nodes z in [-1/2, 1/2] of every interval of the theta
+    table, in increasing order."""
+    n = geodesy._THETA_DEGREE + 1
+    return np.sort(0.5 * np.cos((np.arange(n) + 0.5) * np.pi / n))
+
+
+def both_sides(u):
+    """u and its neighbours: the next floats and a relative 1e-15 and 1e-9."""
+    return np.concatenate([u * f for f in (1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9)]
+                          + [np.nextafter(u, 0.0), np.nextafter(u, np.inf)])
+
+
 def worst_case_u():
-    """u where the two Newton steps start worst: every interval midpoint of
-    both start tables (the linear start's error peaks there), both sides of
-    each branch or table edge, and the largest u off the center branch."""
-    k = np.arange(geodesy._TABLE_STEPS) + 0.5
-    midpoints = np.concatenate([k * geodesy._U_STEP,
-                                np.exp(geodesy._LOG_U0 + k * geodesy._LOG_U_STEP)])
+    """u where the root solve is weakest.  Below theta = pi: between the
+    Chebyshev nodes of every interval of the theta table (the interpolant's
+    error peaks there), both sides of every interval edge, both sides of
+    pi/2, and subnormal u.  Above: every interval midpoint of the log eps
+    start table (the linear start's error peaks there), both sides of its
+    last node and of _U_ASYMPTOTE, and the largest u off the center branch."""
+    k = np.arange(geodesy._THETA_LAST + 1)[:, None]
+    z = theta_table_nodes()
+    between = np.abs(k + 0.5 * (z[1:] + z[:-1])) * geodesy._U_STEP
+    edges = (k[:-1] + 0.5) * geodesy._U_STEP
+    tiny = np.finfo(float).tiny
+    subnormal = np.array([5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(tiny, 0.0)])
+    j = np.arange(geodesy._TABLE_STEPS) + 0.5
+    midpoints = np.exp(geodesy._LOG_U0 + j * geodesy._LOG_U_STEP)
     last_node = np.exp(geodesy._LOG_U0 + geodesy._TABLE_STEPS * geodesy._LOG_U_STEP)
-    edges = np.array([geodesy._U_SERIES, np.pi / 2.0, last_node, geodesy._U_ASYMPTOTE])
-    sides = np.concatenate([edges * f for f in (1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9)]
-                           + [np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
-    u = np.concatenate([midpoints, sides, [CENTER_TOL ** -2]])
+    ends = np.array([np.pi / 2.0, last_node, geodesy._U_ASYMPTOTE])
+    u = np.concatenate([between.ravel(), both_sides(edges.ravel()), subnormal, [tiny],
+                        midpoints, both_sides(ends), [CENTER_TOL ** -2]])
     return np.concatenate([u, -u])
+
+
+def m_exact(theta):
+    """m(theta) for 0 < theta <= pi in exact rationals at the float theta:
+    theta S / C with S = (x - sin x) / x^3 and C = (1 - cos x) / x^2 by
+    their Taylor series, summed until a term drops below 2^-80 of the sum."""
+    x = Fraction(theta)
+    w = x * x
+
+    def series(p):  # sum_j (-1)^j w^j / (2j + p)!
+        total, term, j = Fraction(0), Fraction(1, math.factorial(p)), 0
+        while abs(term) > abs(total) * Fraction(1, 2 ** 80):
+            total += term
+            term *= -w / ((2 * j + p + 1) * (2 * j + p + 2))
+            j += 1
+        return total
+
+    return x * series(3) / series(2)
 
 
 class TestInversionProperties:
@@ -689,6 +773,24 @@ class TestInversionProperties:
         u = worst_case_u()
         res = m_residual(u)
         assert np.max(res) <= 1e-12, u[np.argmax(res)]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_newton_step_moves_theta_at_most_2_ulp(self, n):
+        # at the midpoint of every interval of the theta table (a quarter
+        # step into interval 0, whose midpoint is u = 0), inverted from
+        # points of H^n: one Newton step with m in exact rationals moves
+        # the returned theta by at most 2 ulp
+        u = np.arange(geodesy._THETA_LAST + 1) * geodesy._U_STEP
+        u[0] = geodesy._U_STEP / 4.0
+        zeta = np.tile(np.array([0.6 + 0.3j, -0.2 + 0.7j])[:n], (len(u), 1))
+        az = np.sqrt(np.sum(zeta.real ** 2 + zeta.imag ** 2, axis=-1))
+        t = u * az * az
+        u = t / (az * az)  # the u the kernel forms
+        theta = geodesy._invert_arrays(zeta, t)[1]
+        dm = geodesy._series_or_closed(theta, geodesy._m_series, geodesy._m_direct)[1]
+        for th, uk, d in zip(theta, u, dm):
+            step = float((m_exact(th) - Fraction(uk)) / Fraction(d))
+            assert abs(step) <= 2.0 * np.spacing(th), (uk, step / np.spacing(th))
 
     @given(st.floats(0.3, 0.6))
     def test_series_matches_direct_form(self, theta):
